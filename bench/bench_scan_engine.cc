@@ -200,10 +200,9 @@ scanner::DailyScanResult RunLazyStudy(std::size_t population, int days,
                                       int threads, double& construct_ms,
                                       double& elapsed_ms,
                                       obs::MetricsRegistry& metrics) {
-  simnet::PopulationSpec spec = simnet::PaperPopulationSpec(population);
-  spec.fleet_mode = simnet::FleetMode::kLazy;
   auto start = std::chrono::steady_clock::now();
-  simnet::Internet net(spec, bench::StudySeed());
+  simnet::Internet net(simnet::PaperPopulationSpec(population),
+                       bench::StudySeed());
   construct_ms = MsSince(start);
   scanner::ScanEngineOptions options;
   options.threads = threads;
@@ -255,11 +254,7 @@ ScaleRow RunScaleRow(std::size_t population, int days,
 // TLSHARM_POPULATION (default 65536), 2 days, then a single parseable
 // line. scripts/check.sh gates on the reported peak.
 int RunMemcheck() {
-  std::size_t population = 65536;
-  if (const char* env = std::getenv("TLSHARM_POPULATION")) {
-    const long n = std::atol(env);
-    if (n > 0) population = static_cast<std::size_t>(n);
-  }
+  const std::size_t population = simnet::DefaultPopulationSize(65536);
   double construct_ms = 0, elapsed_ms = 0;
   obs::MetricsRegistry metrics;
   std::uint64_t probes = 0;

@@ -111,10 +111,9 @@ int main() {
   const auto parsed = attack::ParseCapture(capture.Log());
   // Hours later: exfiltrate the then-current STEK (still inside the 14h
   // issuing epoch of the captured ticket).
-  auto& terminator = net.Terminator(tid);
-  const tls::Stek stolen = terminator.Steks().StealCurrentKey(12 * kHour);
-  const attack::StekDecryptor decryptor(terminator.Config().tickets.codec,
-                                        stolen);
+  const tls::Stek stolen = net.SteksOf(tid).StealCurrentKey(12 * kHour);
+  const attack::StekDecryptor decryptor(
+      net.TerminatorConfigOf(tid).tickets.codec, stolen);
   const auto decrypted = decryptor.Decrypt(parsed);
   PrintRow("captured connection decrypted with stolen STEK", "(attack works)",
            decrypted.ok

@@ -48,14 +48,6 @@ namespace {
 // Env-sized survey: TLSHARM_POPULATION (>= 100) and TLSHARM_DAYS (1..63)
 // override the defaults so a 2-day profiling campaign or a large soak run
 // doesn't need a recompile.
-std::size_t PopulationFromEnv(std::size_t fallback) {
-  if (const char* env = std::getenv("TLSHARM_POPULATION")) {
-    const long parsed = std::atol(env);
-    if (parsed >= 100) return static_cast<std::size_t>(parsed);
-  }
-  return fallback;
-}
-
 int DaysFromEnv(int fallback) {
   if (const char* env = std::getenv("TLSHARM_DAYS")) {
     const int parsed = std::atoi(env);
@@ -136,7 +128,7 @@ int main(int argc, char** argv) {
 
   std::printf("== fleet_survey: one-week HTTPS crypto-shortcut survey ==\n");
   constexpr std::uint64_t kWorldSeed = 424242;
-  const std::size_t kPopulation = PopulationFromEnv(6000);
+  const std::size_t kPopulation = simnet::DefaultPopulationSize(6000);
   simnet::Internet net(simnet::PaperPopulationSpec(kPopulation), kWorldSeed);
   const int days = DaysFromEnv(7);
   std::printf("population: %zu domains, %zu terminators\n",

@@ -131,13 +131,13 @@ std::string PickStekProfile(simnet::Internet& net,
     bool eligible = !endpoints.empty();
     const void* shared = nullptr;
     for (const simnet::TerminatorId e : endpoints) {
-      const server::ServerConfig& config = net.Terminator(e).Config();
+      const server::ServerConfig& config = net.TerminatorConfigOf(e);
       if (!config.tickets.enabled ||
           config.stek.rotation != server::StekRotation::kInterval) {
         eligible = false;
         break;
       }
-      const void* manager = &net.Terminator(e).Steks();
+      const void* manager = &net.SteksOf(e);
       if (shared == nullptr) shared = manager;
       if (manager != shared) eligible = false;
     }
@@ -167,13 +167,13 @@ std::string PickDhProfile(simnet::Internet& net,
     const void* shared = nullptr;
     SimTime ttl = 0;
     for (const simnet::TerminatorId e : endpoints) {
-      const server::ServerConfig& config = net.Terminator(e).Config();
+      const server::ServerConfig& config = net.TerminatorConfigOf(e);
       if (!config.ecdhe_reuse.reuse) {
         eligible = false;
         break;
       }
       ttl = config.ecdhe_reuse.ttl;
-      const void* cache = &net.Terminator(e).Kex();
+      const void* cache = &net.KexOf(e);
       if (shared == nullptr) shared = cache;
       if (cache != shared) eligible = false;
     }
@@ -213,7 +213,7 @@ bool CacheWindow(simnet::Internet& net, const attack::CaptureRecord& rec,
                  SimTime* end) {
   if (!rec.valid || rec.session_id.empty()) return false;
   const server::ServerConfig& config =
-      net.Terminator(static_cast<simnet::TerminatorId>(rec.endpoint)).Config();
+      net.TerminatorConfigOf(static_cast<simnet::TerminatorId>(rec.endpoint));
   if (!config.session_cache.enabled ||
       config.session_cache.issue_id_without_cache) {
     return false;

@@ -41,14 +41,6 @@ namespace {
 constexpr std::uint64_t kWorldSeed = 424242;
 constexpr std::uint64_t kScanSeed = 1;
 
-std::size_t PopulationFromEnv() {
-  if (const char* env = std::getenv("TLSHARM_POPULATION")) {
-    const long parsed = std::atol(env);
-    if (parsed >= 100) return static_cast<std::size_t>(parsed);
-  }
-  return 2000;
-}
-
 int DaysFromEnv() {
   if (const char* env = std::getenv("TLSHARM_DAYS")) {
     const int parsed = std::atoi(env);
@@ -106,7 +98,7 @@ int SummarizeTraceFile(const std::string& path) {
 }
 
 int RunScan() {
-  const std::size_t population = PopulationFromEnv();
+  const std::size_t population = simnet::DefaultPopulationSize(2000);
   const int days = DaysFromEnv();
   const int threads = scanner::ScanThreadsFromEnv();
   std::printf("== tlsharm-prof --scan: %zu domains, %d day(s), %d "
@@ -123,7 +115,7 @@ int RunScan() {
 }
 
 int RunCampaignProfile(const std::string& dir) {
-  const std::size_t population = PopulationFromEnv();
+  const std::size_t population = simnet::DefaultPopulationSize(2000);
   const int days = DaysFromEnv();
   const int threads = scanner::ScanThreadsFromEnv();
   std::printf("== tlsharm-prof --campaign: %zu domains, %d day(s), %d "

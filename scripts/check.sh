@@ -4,7 +4,8 @@
 # run can't — in particular in the fault-injection / corrupted-flight paths —
 # and once more with TLSHARM_SANITIZE=thread (TSan) running the concurrency
 # battery: the crypto known-answer vectors plus the sharded scan engine's
-# determinism test, which hammers the shared terminators from eight workers.
+# determinism and fleet-budget equivalence tests, which hammer the shared
+# terminators and the fleet's build/evict locks from eight workers.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -54,11 +55,11 @@ echo "== warehouse: figure-bench record/replay parity =="
 whdir="$(mktemp -d)"
 trap 'rm -rf "${whdir}"' EXIT
 bench="${repo}/build/bench/bench_fig3_fig4_fig5_longevity"
-TLSHARM_POPULATION=1500 TLSHARM_DAYS=6 "${bench}" \
+TLSHARM_POPULATION=20000 TLSHARM_DAYS=6 "${bench}" \
   > "${whdir}/live.txt"
-TLSHARM_POPULATION=1500 TLSHARM_DAYS=6 "${bench}" \
+TLSHARM_POPULATION=20000 TLSHARM_DAYS=6 "${bench}" \
   --warehouse "${whdir}/wh" > "${whdir}/record.txt" 2>/dev/null
-TLSHARM_POPULATION=1500 TLSHARM_DAYS=6 "${bench}" \
+TLSHARM_POPULATION=20000 TLSHARM_DAYS=6 "${bench}" \
   --warehouse "${whdir}/wh" > "${whdir}/replay.txt" 2>/dev/null
 diff <(grep -v "built in" "${whdir}/live.txt") \
      <(grep -v "built in" "${whdir}/record.txt")
@@ -179,7 +180,7 @@ else
 fi
 
 # Memory-budget gate (million-domain readiness at CI scale). A 64k-domain,
-# 2-day lazy-fleet scan through `bench_scan_engine --memcheck`, gated on
+# 2-day scan through `bench_scan_engine --memcheck`, gated on
 # the process VmHWM it reports. The budget math (DESIGN.md §Scaling): the
 # blueprint columns are ~tens of bytes per domain, the derived working set
 # is capped by the fleet budget (default 384 MiB, and a 64k fleet doesn't
@@ -188,17 +189,17 @@ fi
 # layout drift worth a look), fail past 512 MB (something is accumulating
 # per-domain or per-day state again — the exact regression this gate
 # exists to catch).
-echo "== memory budget: bench_scan_engine --memcheck (64k domains, lazy) =="
+echo "== memory budget: bench_scan_engine --memcheck (64k domains) =="
 memline="$("${repo}/build/bench/bench_scan_engine" --memcheck)"
 echo "${memline}"
 peak_mb="$(sed -n 's/.*peak_rss_mb=\([0-9.]*\).*/\1/p' <<<"${memline}")"
 if awk -v m="${peak_mb}" 'BEGIN { exit !(m > 512.0) }'; then
   echo "FAIL: peak RSS ${peak_mb} MB exceeds the 512 MB hard ceiling for a" \
-       "64k-domain lazy-fleet scan"
+       "64k-domain scan"
   exit 1
 elif awk -v m="${peak_mb}" 'BEGIN { exit !(m > 256.0) }'; then
   echo "WARN: peak RSS ${peak_mb} MB is past the 256 MB budget for a" \
-       "64k-domain lazy-fleet scan (investigate before trusting this run)"
+       "64k-domain scan (investigate before trusting this run)"
 else
   echo "peak RSS ${peak_mb} MB is within the 256 MB budget"
 fi
@@ -206,8 +207,8 @@ fi
 run_config "sanitized" "${repo}/build-asan" -DTLSHARM_SANITIZE=ON
 echo "== crash recovery: injection ladder (ASan + UBSan) =="
 ctest --test-dir "${repo}/build-asan" --output-on-failure -R 'CrashRecovery'
-# The lazy-fleet equivalence battery by name, so a filtered invocation can
-# never silently skip the tentpole contract: derive-on-demand + eviction +
+# The fleet-budget equivalence battery by name, so a filtered invocation
+# can never silently skip the contract: build-on-demand + eviction +
 # rebuild must produce byte-identical artifacts, with ASan watching the
 # evict/rebuild lifetimes (a stale reference into an evicted terminator is
 # exactly the bug class this pairing catches).
@@ -218,7 +219,7 @@ echo "== sanitized: bench_crypto --selftest (ASan + UBSan) =="
 echo "== sanitized: tlsharm-harm --selftest (ASan + UBSan) =="
 "${repo}/build-asan/examples/tlsharm-harm" --selftest
 run_config "tsan" "${repo}/build-tsan" \
-  --filter 'CryptoVectors|Differential|ParallelDeterminism|Sharded|Telemetry|Prof' \
+  --filter 'CryptoVectors|Differential|ParallelDeterminism|FleetEquivalence|Sharded|Telemetry|Prof' \
   -DTLSHARM_SANITIZE=thread
 echo "== tsan: bench_crypto --selftest =="
 "${repo}/build-tsan/bench/bench_crypto" --selftest

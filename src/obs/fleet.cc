@@ -40,9 +40,9 @@ void CollectFleetMetrics(simnet::Internet& net, SimTime now,
   Counter& kex_reused = registry.GetCounter("fleet.kex.reused");
   Counter& kex_fresh = registry.GetCounter("fleet.kex.fresh");
 
-  // The sweep reads the resident secret stores directly: they are live in
-  // every fleet mode, so an end-of-study pass over a million-domain lazy
-  // fleet never materializes (or pays for) a single terminator object.
+  // The sweep reads the resident secret stores directly: they are live
+  // whether or not a terminator is built, so an end-of-study pass over a
+  // million-domain fleet never builds (or pays for) a terminator object.
   for (simnet::TerminatorId id = 0; id < net.TerminatorCount(); ++id) {
     server::StekManager& steks = net.SteksOf(id);
     if (seen_steks.insert(&steks).second) {

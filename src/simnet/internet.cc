@@ -4,7 +4,6 @@
 #include <cassert>
 #include <charconv>
 #include <cstdlib>
-#include <string_view>
 #include <unordered_set>
 
 namespace tlsharm::simnet {
@@ -12,7 +11,7 @@ namespace {
 
 constexpr SimTime kCertNotBefore = -180 * kDay;
 constexpr SimTime kCertNotAfter = 3650 * kDay;
-// Default lazy working-set budget. ~384 MiB holds tens of thousands of
+// Default working-set budget. ~384 MiB holds tens of thousands of
 // provisioned terminators — far more than one scan shard touches between
 // evictions — while a million-domain world stays bounded.
 constexpr std::uint64_t kDefaultFleetBudgetMb = 384;
@@ -25,7 +24,7 @@ void AppendNum(std::string* out, std::uint64_t v) {
 
 }  // namespace
 
-// CA material outlives construction: lazy fleets issue certificates on
+// CA material outlives construction: terminators issue certificates on
 // demand, long after the blueprint pass. The DRBG member only feeds
 // construction-time draws (CA keypairs, the intermediate's certificate);
 // per-credential issuance uses derived DRBGs and explicit serials so it is
@@ -80,15 +79,6 @@ DomainId Internet::AddDomainRow(std::uint8_t kind, std::uint32_t num,
 
 Internet::Internet(const PopulationSpec& spec, std::uint64_t seed)
     : pki_(std::make_unique<Pki>()), seed_(seed) {
-  // Resolve the fleet mode and working-set budget.
-  FleetMode mode = spec.fleet_mode;
-  if (mode == FleetMode::kFromEnv) {
-    const char* env = std::getenv("TLSHARM_FLEET");
-    mode = (env != nullptr && std::string_view(env) == "lazy")
-               ? FleetMode::kLazy
-               : FleetMode::kMaterialized;
-  }
-  lazy_ = mode == FleetMode::kLazy;
   std::uint64_t budget_mb = spec.fleet_budget_mb;
   if (budget_mb == 0) {
     const char* env = std::getenv("TLSHARM_FLEET_BUDGET_MB");
@@ -633,16 +623,7 @@ Internet::Internet(const PopulationSpec& spec, std::uint64_t seed)
   }
 
   RegisterSchedules();
-
-  // ==== fleet materialization ==============================================
   slots_.resize(term_meta_.size());
-  if (!lazy_) {
-    for (TerminatorId tid = 0; tid < term_meta_.size(); ++tid) {
-      slots_[tid] = BuildTerminator(tid);
-      resident_bytes_ += slots_[tid]->ProvisionedBytes();
-    }
-    materializations_.store(term_meta_.size(), std::memory_order_relaxed);
-  }
 }
 
 void Internet::RegisterSchedules() {
@@ -701,7 +682,6 @@ std::shared_ptr<server::SslTerminator> Internet::BuildTerminator(
 }
 
 std::shared_ptr<server::SslTerminator> Internet::Materialize(TerminatorId id) {
-  if (!lazy_) return slots_[id];
   {
     std::lock_guard<std::mutex> lock(fleet_mu_);
     if (slots_[id] != nullptr) return slots_[id];
@@ -743,7 +723,6 @@ void Internet::EvictOverBudget(TerminatorId keep) {
 
 Internet::FleetStats Internet::Fleet() const {
   FleetStats stats;
-  stats.lazy = lazy_;
   stats.budget_bytes = budget_bytes_;
   stats.materializations = materializations_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
@@ -908,12 +887,8 @@ Internet::ConnectOutcome Internet::ConnectDetailed(DomainId id, SimTime now) {
   }
   const TerminatorId tid = EndpointFor(id, now);
   ApplyMaintenance(tid, now);
-  if (lazy_) {
-    auto term = Materialize(tid);
-    out.connection = term->NewConnection(now, std::move(term));
-  } else {
-    out.connection = slots_[tid]->NewConnection(now);
-  }
+  auto term = Materialize(tid);
+  out.connection = term->NewConnection(now, std::move(term));
   if (fault.kind != FaultKind::kNone) {
     out.connection =
         std::make_unique<FaultyConnection>(std::move(out.connection), fault);
@@ -936,19 +911,6 @@ void Internet::SetFaultSpec(const FaultSpec& spec) {
     fault_profile_of_[id] = &fault_injector_->ResolveProfile(
         operator_names_[table_.op[id]], table_.as_number[id]);
   }
-}
-
-server::SslTerminator& Internet::Terminator(TerminatorId id) {
-  if (!lazy_) return *slots_[id];
-  // Lazy mode: the reference is only guaranteed alive until the next
-  // materialization triggers eviction — callers that hold it across probes
-  // must use TerminatorHandle instead.
-  return *Materialize(id);
-}
-
-std::shared_ptr<server::SslTerminator> Internet::TerminatorHandle(
-    TerminatorId id) {
-  return Materialize(id);
 }
 
 std::uint32_t Internet::IpOf(TerminatorId id) const {

@@ -11,12 +11,13 @@
 // BLUEPRINT pass — it fixes every random draw (ranks, configs, churn,
 // reuse coins) and lays the population out as a struct-of-arrays table
 // (one small column per attribute, names regenerated from compact
-// patterns) instead of per-domain heap objects. Terminators are pure
-// functions of (world seed, terminator id): their secret stores are
-// derived once at construction and stay resident (the session cache is
-// the only order-dependent mutable state in the system), while the
-// expensive part — credentials, SNI maps — is materialized on demand in
-// FleetMode::kLazy into a bounded working set and evicted freely. A
+// patterns) instead of per-domain heap objects, and builds no terminator.
+// Terminators are pure functions of (world seed, terminator id): their
+// secret stores are derived once at construction and stay resident (the
+// session cache is the only order-dependent mutable state in the system),
+// while the expensive part — credentials, SNI maps — is built on a
+// terminator's first connection into a working set bounded by
+// PopulationSpec::fleet_budget_mb and evicted freely past it. A
 // million-domain world therefore costs megabytes until it is probed, and
 // a bounded budget thereafter.
 #pragma once
@@ -143,21 +144,13 @@ class Internet {
   // The terminator Connect would use at `now` (for topology queries).
   TerminatorId EndpointFor(DomainId id, SimTime now) const;
 
-  // Direct terminator access (attack module, tests). In lazy mode this
-  // materializes the terminator; the reference stays valid while the
-  // Internet lives ONLY in materialized mode — lazy-fleet callers that
-  // outlive the call must hold TerminatorHandle instead.
-  server::SslTerminator& Terminator(TerminatorId id);
-  // Pinning accessor: the shared_ptr keeps a lazily materialized
-  // terminator alive across evictions.
-  std::shared_ptr<server::SslTerminator> TerminatorHandle(TerminatorId id);
   std::size_t TerminatorCount() const { return term_meta_.size(); }
 
-  // Resident per-terminator state — live regardless of fleet mode and of
-  // whether the terminator object itself is materialized. These are the
-  // accessors the fleet sweep (obs/fleet.cc) and the adversary engine use
-  // so an end-of-study pass over a million-domain fleet never forces
-  // materialization.
+  // Resident per-terminator state — live whether or not the terminator
+  // object itself is built. No accessor hands out the terminator object, so
+  // an end-of-study pass (the fleet sweep in obs/fleet.cc, the adversary
+  // engine) over a million-domain fleet never builds one, and no caller can
+  // hold a reference into a terminator that eviction frees.
   server::SessionCache& CacheOf(TerminatorId id) { return *shared_[id].cache; }
   server::StekManager& SteksOf(TerminatorId id) { return *shared_[id].steks; }
   server::KexCache& KexOf(TerminatorId id) { return *shared_[id].kex; }
@@ -168,10 +161,9 @@ class Internet {
     return term_meta_[id].id;
   }
 
-  // Lazy-fleet observability: how many terminators are currently
-  // materialized, bytes they hold, and cumulative (re)materializations.
+  // Fleet observability: how many terminators are currently built, bytes
+  // they hold, and cumulative (re)materializations and evictions.
   struct FleetStats {
-    bool lazy = false;
     std::size_t resident = 0;
     std::uint64_t resident_bytes = 0;
     std::uint64_t budget_bytes = 0;
@@ -283,10 +275,9 @@ class Internet {
                         double presence, TerminatorId endpoint_lo,
                         std::uint16_t endpoint_count);
 
-  // Builds (or fetches) the terminator object. Materialized mode resolves
-  // to a plain slot read; lazy mode derives the terminator — credentials
-  // and all — from the blueprint under a striped lock, charges it against
-  // the byte budget, and evicts round-robin past it.
+  // Builds (or fetches) the terminator object: derives it — credentials
+  // and all — from the blueprint under a striped lock on first use,
+  // charges it against the byte budget, and evicts round-robin past it.
   std::shared_ptr<server::SslTerminator> Materialize(TerminatorId id);
   std::shared_ptr<server::SslTerminator> BuildTerminator(TerminatorId id) const;
   void EvictOverBudget(TerminatorId keep);  // fleet_mu_ held
@@ -302,11 +293,9 @@ class Internet {
   std::vector<server::SharedSecretState> shared_;  // resident secret state
   std::deque<Maintenance> maintenance_;  // deque: Maintenance is immovable
 
-  // Terminator working set. Materialized mode fills every slot at
-  // construction and never touches the locks again; lazy mode populates on
-  // demand. Slots are atomic shared_ptrs guarded by striped mutexes for
-  // the build path; readers take a shared_ptr copy (their pin).
-  bool lazy_ = false;
+  // Terminator working set, populated on demand. Slots are shared_ptrs
+  // guarded by fleet_mu_, with striped mutexes for the build path; readers
+  // take a shared_ptr copy (their pin, which outlives eviction).
   std::uint64_t budget_bytes_ = 0;
   std::vector<std::shared_ptr<server::SslTerminator>> slots_;
   mutable std::mutex fleet_mu_;
@@ -319,7 +308,7 @@ class Internet {
   std::atomic<std::uint64_t> materializations_{0};
   std::atomic<std::uint64_t> evictions_{0};
 
-  // CA material kept for on-demand credential issuance (lazy fleets issue
+  // CA material kept for on-demand credential issuance (terminators issue
   // certificates long after construction).
   struct Pki;
   std::unique_ptr<Pki> pki_;

@@ -642,12 +642,12 @@ std::vector<NamedDomainSpec> NamedDomains() {
 
 }  // namespace
 
-std::size_t DefaultPopulationSize() {
+std::size_t DefaultPopulationSize(std::size_t fallback) {
   if (const char* env = std::getenv("TLSHARM_POPULATION")) {
     const long parsed = std::atol(env);
-    if (parsed >= 2000) return static_cast<std::size_t>(parsed);
+    if (parsed >= 100) return static_cast<std::size_t>(parsed);
   }
-  return 20000;
+  return fallback;
 }
 
 PopulationSpec PaperPopulationSpec(std::size_t top_list_size) {

@@ -113,18 +113,11 @@ struct ChurnSpec {
   double transient_max_presence = 0.9;
 };
 
-// How the terminator fleet is held in memory (see DESIGN.md "Scaling").
-//   kMaterialized — every terminator (credentials included) is built at
-//     construction; Terminator() is a plain array access. The right mode
-//     for populations up to a few hundred thousand.
-//   kLazy — terminators are derived on demand from (seed, id) into a
-//     bounded working set and evicted deterministically-safely (they are
-//     pure functions of their identity; the only order-dependent state,
-//     the shared secret stores, always stays resident). Million-domain
-//     scans run here.
-//   kFromEnv — resolve from TLSHARM_FLEET ("lazy" | "materialized",
-//     default materialized).
-enum class FleetMode : std::uint8_t { kFromEnv = 0, kMaterialized, kLazy };
+// Inert: the fleet is always built on demand (see DESIGN.md "Scaling"),
+// and nothing reads this. It remains only because the benchmark package
+// still assigns `fleet_mode = FleetMode::kLazy`; it goes when that
+// assignment does.
+enum class FleetMode : std::uint8_t { kLazy };
 
 struct PopulationSpec {
   // Size of the daily "Top N" list (the paper's 1,000,000).
@@ -133,11 +126,13 @@ struct PopulationSpec {
   double https_fraction = 0.68;
   // Fraction of stable domains presenting a browser-trusted certificate.
   double trusted_fraction = 0.54;
-  // Terminator materialization strategy; never changes a single observed
-  // byte (FleetEquivalenceTest proves it), only memory/time trade-offs.
-  FleetMode fleet_mode = FleetMode::kFromEnv;
-  // Working-set budget for kLazy, in MiB (0 = TLSHARM_FLEET_BUDGET_MB or
-  // the built-in default). Accounting unit: SslTerminator::ProvisionedBytes.
+  // Inert; see FleetMode.
+  FleetMode fleet_mode = FleetMode::kLazy;
+  // Terminator working-set budget in MiB (0 = TLSHARM_FLEET_BUDGET_MB or
+  // the built-in default). Terminators are built on first use and evicted
+  // round-robin past it; the budget never changes a single observed byte
+  // (FleetEquivalenceTest proves it), only memory/time trade-offs.
+  // Accounting unit: SslTerminator::ProvisionedBytes.
   std::size_t fleet_budget_mb = 0;
   ChurnSpec churn;
   std::vector<OperatorSpec> operators;
@@ -145,11 +140,12 @@ struct PopulationSpec {
   std::vector<NamedDomainSpec> named_domains;
 };
 
-// The paper-calibrated specification. `top_list_size` of 0 selects the
-// default (env TLSHARM_POPULATION or 60,000).
+// The paper-calibrated specification. `top_list_size` of 0 selects
+// DefaultPopulationSize().
 PopulationSpec PaperPopulationSpec(std::size_t top_list_size = 0);
 
-// Population size resolution helper shared by benches.
-std::size_t DefaultPopulationSize();
+// The one TLSHARM_POPULATION parser: the env value when it is at least
+// 100, else `fallback`.
+std::size_t DefaultPopulationSize(std::size_t fallback = 20000);
 
 }  // namespace tlsharm::simnet

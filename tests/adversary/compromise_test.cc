@@ -62,8 +62,8 @@ std::string SharedStekProfile(simnet::Internet& net) {
     std::set<const void*> managers;
     bool ticketed = true;
     for (const simnet::TerminatorId e : endpoints) {
-      managers.insert(&net.Terminator(e).Steks());
-      ticketed = ticketed && net.Terminator(e).Config().tickets.enabled;
+      managers.insert(&net.SteksOf(e));
+      ticketed = ticketed && net.TerminatorConfigOf(e).tickets.enabled;
     }
     if (ticketed && managers.size() == 1) return name;
   }

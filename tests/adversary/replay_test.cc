@@ -205,7 +205,7 @@ TEST(HarmEngineTest, CacheSweepMatchesBruteForceRecount) {
     if (!rec.valid || rec.session_id.empty()) continue;
     const auto id = static_cast<simnet::TerminatorId>(rec.endpoint);
     const server::SessionCacheConfig& cache =
-        fx.net->Terminator(id).Config().session_cache;
+        fx.net->TerminatorConfigOf(id).session_cache;
     if (!cache.enabled || cache.issue_id_without_cache) continue;
     SimTime end = rec.time + cache.lifetime;
     const simnet::Internet::RestartSchedule restarts =
@@ -267,7 +267,7 @@ TEST(HarmEngineTest, StekSweepMatchesEndOfStudySnapshot) {
       const simnet::DomainInfo& info =
           fx.net->GetDomain(static_cast<simnet::DomainId>(d));
       for (const simnet::TerminatorId e : info.endpoints) {
-        managers[info.operator_name].insert(&fx.net->Terminator(e).Steks());
+        managers[info.operator_name].insert(&fx.net->SteksOf(e));
       }
     }
     for (const attack::CaptureRecord& rec : fx.captures.Records()) {

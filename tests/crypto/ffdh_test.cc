@@ -3,6 +3,13 @@
 #include <gtest/gtest.h>
 
 namespace tlsharm::crypto {
+
+// Prints a parameter set by name rather than by address, so the names
+// CTest derives for the parameterized cases are the same on every build.
+void PrintTo(const FfdhParams* params, std::ostream* os) {
+  *os << params->name;
+}
+
 namespace {
 
 class FfdhGroupTest : public ::testing::TestWithParam<const FfdhParams*> {};

@@ -3,6 +3,13 @@
 #include <gtest/gtest.h>
 
 namespace tlsharm::crypto {
+
+// Prints a scheme by its group rather than by address, so the names CTest
+// derives for the parameterized cases are the same on every build.
+void PrintTo(const SchnorrScheme* scheme, std::ostream* os) {
+  *os << (scheme == &SchnorrSim61() ? "schnorr-sim61" : "schnorr-sim256");
+}
+
 namespace {
 
 class SchnorrTest : public ::testing::TestWithParam<const SchnorrScheme*> {};

@@ -1,10 +1,10 @@
-// Lazy-vs-materialized fleet equivalence — the tentpole contract of the
-// memory-bounded scan engine: a lazily derived, budget-evicted fleet must
-// produce BYTE-identical study artifacts to the fully materialized fleet,
-// at any thread count and any main-pass batch size, with fault injection
-// exercising the outage/requeue paths.
+// Fleet-budget equivalence — the contract of the memory-bounded scan
+// engine: a fleet whose budget forces constant eviction and rebuilding must
+// produce BYTE-identical study artifacts to one that keeps every terminator
+// resident once built, at any thread count and any main-pass batch size,
+// with fault injection exercising the outage/requeue paths.
 //
-// Artifacts compared against the materialized 1-thread baseline:
+// Artifacts compared against the unbounded 1-thread baseline:
 //   * the canonical text observation stream (every byte),
 //   * the columnar warehouse (manifest CRC + row/byte counts — the
 //     manifest indexes every segment's size and CRC-32),
@@ -29,6 +29,11 @@ constexpr std::size_t kPopulation = 2000;
 constexpr int kDays = 3;
 constexpr std::uint64_t kWorldSeed = 20160302;
 constexpr std::uint64_t kScanSeed = 777;
+// Unbounded: nothing is ever evicted. Bounded: the study's working set is
+// about 1.6 MiB, so a 1 MiB budget evicts and rebuilds terminators all
+// through the scan.
+constexpr std::size_t kUnboundedMb = std::size_t{1} << 20;
+constexpr std::size_t kBoundedMb = 1;
 
 struct StudyArtifacts {
   std::string observations;
@@ -42,14 +47,12 @@ struct StudyArtifacts {
   DailyScanResult result;
 };
 
-// One fully instrumented study run. `budget_mb` only applies to kLazy; a
-// deliberately tiny budget forces constant eviction so the test proves
-// rebuild-after-evict purity, not just build-once purity.
-StudyArtifacts RunStudy(simnet::FleetMode mode, int threads,
+// One fully instrumented study run. Bounded runs must actually evict, so
+// the test proves rebuild-after-evict purity, not just build-once purity.
+StudyArtifacts RunStudy(std::size_t budget_mb, int threads,
                         std::size_t batch_size, const std::string& tag) {
   simnet::PopulationSpec spec = simnet::PaperPopulationSpec(kPopulation);
-  spec.fleet_mode = mode;
-  spec.fleet_budget_mb = 8;
+  spec.fleet_budget_mb = budget_mb;
   simnet::Internet net(spec, kWorldSeed);
   net.SetFaultSpec(simnet::DefaultFaultSpec(1.0));
 
@@ -81,6 +84,12 @@ StudyArtifacts RunStudy(simnet::FleetMode mode, int threads,
 
   StudyArtifacts out;
   out.result = RunShardedDailyScans(net, kDays, kScanSeed, options);
+  if (budget_mb == kUnboundedMb) {
+    EXPECT_EQ(net.Fleet().evictions, 0u) << tag;
+  } else {
+    EXPECT_GT(net.Fleet().evictions, 0u)
+        << tag << ": the bounded fleet never evicted";
+  }
   out.observations = stream.str();
   EXPECT_TRUE(warehouse->ok()) << warehouse->error();
   EXPECT_TRUE(capture->ok()) << capture->error();
@@ -138,8 +147,7 @@ void ExpectSameArtifacts(const StudyArtifacts& got,
 }
 
 TEST(FleetEquivalenceTest, LazyFleetMatchesMaterializedByteForByte) {
-  const StudyArtifacts baseline =
-      RunStudy(simnet::FleetMode::kMaterialized, 1, 0, "mat_t1");
+  const StudyArtifacts baseline = RunStudy(kUnboundedMb, 1, 0, "unbounded_t1");
 
   // The study must actually exercise the interesting paths.
   ASSERT_FALSE(baseline.observations.empty());
@@ -153,26 +161,24 @@ TEST(FleetEquivalenceTest, LazyFleetMatchesMaterializedByteForByte) {
   ASSERT_GT(baseline.warehouse_rows, 0u);
 
   for (const int threads : {1, 2, 8}) {
-    const std::string tag = "lazy_t" + std::to_string(threads);
-    ExpectSameArtifacts(
-        RunStudy(simnet::FleetMode::kLazy, threads, 0, tag), baseline,
-        "lazy/" + std::to_string(threads) + " threads");
+    const std::string tag = "bounded_t" + std::to_string(threads);
+    ExpectSameArtifacts(RunStudy(kBoundedMb, threads, 0, tag), baseline,
+                        "bounded/" + std::to_string(threads) + " threads");
   }
-  // Materialized parallel too: isolates fleet-mode effects from sharding.
-  ExpectSameArtifacts(
-      RunStudy(simnet::FleetMode::kMaterialized, 8, 0, "mat_t8"), baseline,
-      "materialized/8 threads");
+  // Unbounded parallel too: isolates eviction effects from sharding.
+  ExpectSameArtifacts(RunStudy(kUnboundedMb, 8, 0, "unbounded_t8"), baseline,
+                      "unbounded/8 threads");
 }
 
 TEST(FleetEquivalenceTest, BatchSizeNeverChangesArtifacts) {
   const StudyArtifacts baseline =
-      RunStudy(simnet::FleetMode::kLazy, 2, 0, "batch_default");
+      RunStudy(kBoundedMb, 2, 0, "batch_default");
   // A prime far smaller than the population: every day spans many ragged
   // batches, so flush boundaries land mid-shard everywhere.
-  ExpectSameArtifacts(RunStudy(simnet::FleetMode::kLazy, 2, 97, "batch_97"),
-                      baseline, "batch=97");
-  ExpectSameArtifacts(RunStudy(simnet::FleetMode::kLazy, 2, 1, "batch_1"),
-                      baseline, "batch=1");
+  ExpectSameArtifacts(RunStudy(kBoundedMb, 2, 97, "batch_97"), baseline,
+                      "batch=97");
+  ExpectSameArtifacts(RunStudy(kBoundedMb, 2, 1, "batch_1"), baseline,
+                      "batch=1");
 }
 
 }  // namespace

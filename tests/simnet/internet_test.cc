@@ -41,6 +41,19 @@ TEST(InternetTest, DeterministicAcrossBuilds) {
   }
 }
 
+TEST(InternetTest, TerminatorsAreBuiltOnFirstConnect) {
+  Internet net(PaperPopulationSpec(2000), 7);
+  EXPECT_EQ(net.Fleet().materializations, 0u);
+  EXPECT_EQ(net.Fleet().resident, 0u);
+  const auto id = net.FindDomain("google.com");
+  ASSERT_TRUE(id.has_value());
+  ASSERT_NE(net.Connect(*id, kHour), nullptr);
+  EXPECT_EQ(net.Fleet().materializations, 1u);
+  ASSERT_NE(net.Connect(*id, kHour), nullptr);
+  EXPECT_EQ(net.Fleet().materializations, 1u);
+  EXPECT_EQ(net.Fleet().resident, 1u);
+}
+
 TEST(InternetTest, NamedDomainsExist) {
   Internet& net = SmallWorld();
   for (const char* name :

@@ -89,8 +89,11 @@ TEST(ProfilesTest, DefaultPopulationSizeRespectsEnv) {
   EXPECT_GE(before, 2000u);
   setenv("TLSHARM_POPULATION", "5000", 1);
   EXPECT_EQ(DefaultPopulationSize(), 5000u);
+  setenv("TLSHARM_POPULATION", "1500", 1);
+  EXPECT_EQ(DefaultPopulationSize(), 1500u);
   setenv("TLSHARM_POPULATION", "10", 1);  // below floor: ignored
   EXPECT_NE(DefaultPopulationSize(), 10u);
+  EXPECT_EQ(DefaultPopulationSize(6000), 6000u);  // the caller's fallback
   unsetenv("TLSHARM_POPULATION");
 }
 
