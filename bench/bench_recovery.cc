@@ -1,10 +1,10 @@
 // bench_recovery: what crash safety costs, and what recovery buys.
 //
 // Runs the same daily-scan study twice on identically constructed worlds —
-// once through the plain recording pipeline (engine + text store +
-// warehouse, no journal) and once as a journaled campaign
-// (campaign/campaign.h: write-ahead RUNLOG, durable store + warehouse
-// commits, per-day state checkpoints) — and reports the journal's overhead
+// once through the plain recording pipeline (engine + warehouse, no
+// journal) and once as a journaled campaign (campaign/campaign.h:
+// write-ahead RUNLOG, durable warehouse commits, per-day state
+// checkpoints) — and reports the journal's overhead
 // in us/probe. Both write the same artifacts; the delta is purely the
 // crash-safety machinery. Then reopens the finished campaign with --resume to measure
 // restore latency: how long a crash-free restart takes to verify the
@@ -19,16 +19,12 @@
 #include <string>
 #include <unistd.h>
 
-#include <fstream>
-
 #include "campaign/campaign.h"
 #include "common.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/prof_report.h"
 #include "scanner/scan_engine.h"
-#include "scanner/store.h"
-#include "util/durable.h"
 #include "warehouse/warehouse.h"
 
 using namespace tlsharm;
@@ -92,18 +88,16 @@ int main() {
   std::string error;
   const std::string base_dir = dir + "-baseline";
   for (int rep = 0; rep < reps; ++rep) {
-    // Baseline: the engine writing the SAME artifacts (text store +
-    // warehouse) but without the journal, the per-day fsync/commit
-    // discipline, or the state checkpoints — the pre-campaign recording
-    // pipeline. The delta against the campaign is purely what crash
-    // safety costs. Scanning mutates server state, so every run gets a
-    // fresh, identically constructed world.
+    // Baseline: the engine writing the SAME observation store (the
+    // warehouse) but without the journal, the fold checkpoints, or the
+    // state files — the pre-campaign recording pipeline. The delta
+    // against the campaign is purely what crash safety costs. Scanning
+    // mutates server state, so every run gets a fresh, identically
+    // constructed world.
     std::filesystem::remove_all(base_dir);
     std::filesystem::create_directories(base_dir);
     world.net = FreshWorld(world);
     {
-      std::ofstream store_file(base_dir + "/store.txt", std::ios::binary);
-      scanner::ObservationWriter text_store(store_file);
       std::string wh_error;
       auto wh = warehouse::WarehouseWriter::Create(base_dir + "/warehouse",
                                                    &wh_error);
@@ -111,12 +105,9 @@ int main() {
         std::fprintf(stderr, "baseline warehouse: %s\n", wh_error.c_str());
         return 1;
       }
-      scanner::MultiStoreWriter fan_out;
-      fan_out.Add(&text_store);
-      fan_out.Add(wh.get());
       scanner::ScanEngineOptions options;
       options.threads = threads;
-      options.store = &fan_out;
+      options.store = wh.get();
       // A campaign always meters (its durable metrics.json requires it),
       // so the baseline must too or the delta would mostly be telemetry.
       obs::MetricsRegistry metrics;
@@ -124,14 +115,13 @@ int main() {
       const auto start = std::chrono::steady_clock::now();
       bare = scanner::RunShardedDailyScans(*world.net, world.days, seed,
                                            options);
-      fan_out.Finish();
       const double bare_rep_ms = MsSince(start);
       if (rep == 0 || bare_rep_ms < bare_ms) bare_ms = bare_rep_ms;
     }
 
     // Journaled campaign: every day both journaled and committed durably
-    // (store fsync, warehouse segment + MANIFEST, fold checkpoint, state
-    // file, metrics.json).
+    // (warehouse segment + MANIFEST, fold checkpoint, state file,
+    // metrics.json).
     std::filesystem::remove_all(dir);
     world.net = FreshWorld(world);
     campaign::CampaignSpec spec;
@@ -140,14 +130,13 @@ int main() {
     spec.seed = seed;
     spec.threads = threads;
     spec.world_digest = bench::StudySeed();
-    const std::uint64_t barriers_before = CrashPointsPassed();
     const auto start = std::chrono::steady_clock::now();
     if (!campaign::RunCampaign(*world.net, spec, &journaled, &error)) {
       std::fprintf(stderr, "campaign failed: %s\n", error.c_str());
       return 1;
     }
     const double campaign_rep_ms = MsSince(start);
-    if (rep == 0) barriers = CrashPointsPassed() - barriers_before;
+    if (rep == 0) barriers = journaled.barriers_passed;
     if (rep == 0 || campaign_rep_ms < campaign_ms) {
       campaign_ms = campaign_rep_ms;
     }

@@ -1,10 +1,10 @@
 // Warehouse subsystem bench: ingest throughput, storage footprint against
-// the text store, and cold vs incremental fold latency. Emits
+// the text format, and cold vs incremental fold latency. Emits
 // BENCH_warehouse.json for CI tracking.
 //
 // Pipeline measured:
-//   1. a seeded daily-scan study recorded to the text store (the baseline
-//      format) and directly into the warehouse;
+//   1. a seeded daily-scan study recorded as text (the baseline format)
+//      and directly into the warehouse, from one scan;
 //   2. text -> warehouse ingest (rows/s) plus the size ratio;
 //   3. aggregate recovery: full text re-parse vs cold warehouse fold vs
 //      checkpoint-resumed fold of only the newest day;
@@ -68,9 +68,11 @@ int main() {
     std::fprintf(stderr, "warehouse create: %s\n", error.c_str());
     return 1;
   }
+  scanner::MultiStoreWriter stores;
+  stores.Add(&sink);
+  stores.Add(writer.get());
   scanner::ScanEngineOptions options;
-  options.sink = &sink;
-  options.store = writer.get();
+  options.store = &stores;
   auto scan_start = Clock::now();
   const auto engine = scanner::RunShardedDailyScans(net, world.days, 301,
                                                     options);

@@ -7,7 +7,8 @@
 //
 // With `--campaign <dir>` the week runs as a crash-safe campaign: every
 // scanned day is journaled and committed durably into <dir> (RUNLOG,
-// store.txt, warehouse/, state files). If the process dies mid-study,
+// warehouse/, state files); `tlsharm-import to-text <dir>/warehouse`
+// exports the observations as text. If the process dies mid-study,
 // `--campaign <dir> --resume` restores the committed days from disk and
 // scans only the remainder — the report and the on-disk artifacts come out
 // byte-identical to an uninterrupted run.
@@ -219,13 +220,9 @@ int main(int argc, char** argv) {
                   "%d rescanned",
                   campaign_dir.c_str(), result.recovery.days_replayed,
                   days - result.first_scanned_day);
-      if (result.recovery.store_tail_truncated > 0 ||
-          result.recovery.stale_segments_removed > 0 ||
+      if (result.recovery.stale_segments_removed > 0 ||
           result.recovery.tmp_files_removed > 0) {
-        std::printf(" (repaired: %llu store bytes cut, %llu stale "
-                    "segment(s), %llu temp file(s))",
-                    static_cast<unsigned long long>(
-                        result.recovery.store_tail_truncated),
+        std::printf(" (repaired: %llu stale segment(s), %llu temp file(s))",
                     static_cast<unsigned long long>(
                         result.recovery.stale_segments_removed),
                     static_cast<unsigned long long>(

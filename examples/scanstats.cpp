@@ -85,10 +85,11 @@ RunOutput RunInstrumentedScan(int threads,
   scanner::ScanEngineOptions options;
   options.threads = threads;
   options.robustness.retry.max_attempts = 3;
-  options.sink = &sink;
   options.trace = &trace_sink;
   options.metrics = &metrics;
 
+  scanner::MultiStoreWriter stores;
+  stores.Add(&sink);
   std::unique_ptr<warehouse::WarehouseWriter> warehouse_writer;
   if (!warehouse_dir.empty()) {
     std::string error;
@@ -98,8 +99,9 @@ RunOutput RunInstrumentedScan(int threads,
       std::fprintf(stderr, "scanstats: %s\n", error.c_str());
       std::exit(1);
     }
-    options.store = warehouse_writer.get();
+    stores.Add(warehouse_writer.get());
   }
+  options.store = &stores;
 
   RunOutput out;
   out.result = scanner::RunShardedDailyScans(net, kDays, kScanSeed, options);

@@ -1,5 +1,5 @@
-// tlsharm-import: move observation studies between the legacy text store
-// and the columnar warehouse.
+// tlsharm-import: move observation studies between the columnar warehouse
+// (what campaigns record) and the text format, its export view.
 //
 //   tlsharm-import to-warehouse <store.txt|-> <warehouse-dir>
 //   tlsharm-import to-text <warehouse-dir> [out.txt|-]
@@ -9,7 +9,7 @@
 // `verify` decodes every segment against the manifest and reports the
 // warehouse's shape. `--selftest` is scripts/check.sh's warehouse gate: it
 // records a seeded fault-injected study at 1, 2 and 8 threads (warehouse
-// bytes must be identical), round-trips the text store through the
+// bytes must be identical), round-trips the text format through the
 // warehouse byte-for-byte, and checks that the incremental fold reproduces
 // the live engine's aggregates.
 #include <cstdio>
@@ -152,11 +152,13 @@ bool RecordStudy(int threads, const std::string& dir, StudyRun& out) {
     std::fprintf(stderr, "selftest: %s\n", error.c_str());
     return false;
   }
+  scanner::MultiStoreWriter stores;
+  stores.Add(&sink);
+  stores.Add(writer.get());
   scanner::ScanEngineOptions options;
   options.threads = threads;
   options.robustness.retry.max_attempts = 3;
-  options.sink = &sink;
-  options.store = writer.get();
+  options.store = &stores;
   out.result = scanner::RunShardedDailyScans(net, kDays, kScanSeed, options);
   if (!writer->ok()) {
     std::fprintf(stderr, "selftest: warehouse writer: %s\n",

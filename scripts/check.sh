@@ -41,7 +41,7 @@ echo "== observability: scanstats --selftest =="
 "${repo}/build/examples/scanstats" --selftest
 
 # Warehouse gate: the columnar store must be byte-identical at 1/2/8
-# threads, round-trip the text store exactly, and reproduce the engine's
+# threads, round-trip its text export exactly, and reproduce the engine's
 # aggregates through the incremental fold (tlsharm-import); the query layer
 # must count/group deterministically (obsq); and a figure bench recorded
 # into a warehouse and replayed from it must print the same numbers as the
@@ -110,6 +110,21 @@ elif awk -v o="${prof_overhead}" 'BEGIN { exit !(o > 1.0) }'; then
 else
   echo "disabled-path profiling overhead ${prof_overhead}% is within the 1% budget"
 fi
+
+# Export-view gate: a campaign stores its observations in the warehouse
+# only, and text is an export of it. Verify that warehouse, export it,
+# re-import the text, and require the rebuilt MANIFEST and every
+# observation segment to match the campaign's byte for byte.
+echo "== warehouse: campaign text export re-imports byte-identically =="
+import_bin="${repo}/build/examples/tlsharm-import"
+"${import_bin}" verify "${whdir}/camp-plain/warehouse"
+"${import_bin}" to-text "${whdir}/camp-plain/warehouse" "${whdir}/camp.txt"
+"${import_bin}" to-warehouse "${whdir}/camp.txt" "${whdir}/camp-reimport"
+cmp "${whdir}/camp-plain/warehouse/MANIFEST" "${whdir}/camp-reimport/MANIFEST"
+for seg in "${whdir}/camp-plain/warehouse"/obs-*.seg; do
+  cmp "${seg}" "${whdir}/camp-reimport/$(basename "${seg}")"
+done
+echo "campaign warehouse -> text -> warehouse is the identity"
 
 # Perf-correctness gate: the optimized crypto paths (windowed modexp,
 # midstate HMAC/PRF, cross-probe memoization) must be observably identical

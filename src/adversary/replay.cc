@@ -40,7 +40,7 @@ void AppendSigned(std::string& out, SimTime v) { out += std::to_string(v); }
 
 }  // namespace
 
-HarmEngine::HarmEngine(simnet::Internet& net) : net_(net) {}
+HarmEngine::HarmEngine(const simnet::Internet& net) : net_(net) {}
 
 const HarmEngine::EndpointMeta& HarmEngine::MetaOf(std::uint32_t endpoint) {
   const auto it = endpoint_meta_.find(endpoint);

@@ -73,9 +73,8 @@ struct HarmCurve {
 class HarmEngine {
  public:
   // `net` supplies world metadata only (operator names, ticket codecs,
-  // cache configs, restart schedules) — never a secret. Non-const because
-  // Internet::Terminator is non-const; nothing is mutated.
-  explicit HarmEngine(simnet::Internet& net);
+  // cache configs, restart schedules) — never a secret.
+  explicit HarmEngine(const simnet::Internet& net);
 
   // Folds one archived record. Call in canonical archive order (the order
   // CaptureTape::ForEachCapture and CaptureBufferSink preserve).
@@ -133,7 +132,7 @@ class HarmEngine {
   HarmCurve SweepDh(std::uint32_t pid, HarmCurve curve) const;
   HarmCurve SweepCache(std::uint32_t pid, HarmCurve curve) const;
 
-  simnet::Internet& net_;
+  const simnet::Internet& net_;
   bool sealed_ = false;
 
   std::map<std::string, std::uint32_t> profile_ids_;

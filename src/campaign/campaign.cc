@@ -149,13 +149,11 @@ bool DecodeState(ByteView bytes, int expected_day,
 class CommitDriver : public scanner::CampaignHooks {
  public:
   CommitDriver(std::string dir, std::string warehouse_dir,
-               scanner::RunLog* journal, scanner::TextStoreFile* store,
-               warehouse::WarehouseWriter* warehouse,
+               scanner::RunLog* journal, warehouse::WarehouseWriter* warehouse,
                warehouse::CaptureTapeWriter* tape)
       : dir_(std::move(dir)),
         warehouse_dir_(std::move(warehouse_dir)),
         journal_(journal),
-        store_(store),
         warehouse_(warehouse),
         tape_(tape) {}
 
@@ -167,13 +165,9 @@ class CommitDriver : public scanner::CampaignHooks {
                       const std::vector<scanner::DayLoss>& loss,
                       const std::string& metrics_json) override {
     obs::ProfScope commit_span(kProfCommitDay);
-    // The engine already ran EndDay on both store backends, so the day's
-    // observations are durable; a latched backend error means they are
+    // The engine already ran the warehouse's EndDay, so the day's
+    // observations are durable; a latched writer error means they are
     // not, and committing would journal a lie.
-    if (!store_->Ok()) {
-      error_ = store_->Error();
-      return false;
-    }
     if (!warehouse_->ok()) {
       error_ = warehouse_->error();
       return false;
@@ -206,8 +200,6 @@ class CommitDriver : public scanner::CampaignHooks {
     }
 
     scanner::DayDigests digests;
-    digests.store_bytes = store_->CommittedBytes();
-    digests.store_crc = store_->CommittedCrc();
     digests.warehouse_rows = warehouse_->RowsWritten();
     digests.warehouse_segments = warehouse_->SegmentsWritten();
     digests.manifest_crc = warehouse_->ManifestCrc();
@@ -236,7 +228,6 @@ class CommitDriver : public scanner::CampaignHooks {
   std::string dir_;
   std::string warehouse_dir_;
   scanner::RunLog* journal_;
-  scanner::TextStoreFile* store_;
   warehouse::WarehouseWriter* warehouse_;
   warehouse::CaptureTapeWriter* tape_;
   std::string error_;
@@ -244,7 +235,8 @@ class CommitDriver : public scanner::CampaignHooks {
 };
 
 // Removes campaign-root debris: orphaned `*.tmp` from interrupted commits
-// and state files for any day but `keep_day` (-1 keeps none).
+// and state files for any day but `keep_day`. A fresh start (-1) keeps no
+// state file and also drops the previous study's metrics.json.
 void SweepCampaignRoot(const std::string& dir, int keep_day,
                        RecoveryStats* stats) {
   std::error_code ec;
@@ -256,9 +248,8 @@ void SweepCampaignRoot(const std::string& dir, int keep_day,
       ++stats->tmp_files_removed;
       continue;
     }
-    if (name.rfind("state-", 0) == 0 &&
-        name != StateFileName(std::max(keep_day, 0)) &&
-        name.size() > 10 && name.compare(name.size() - 4, 4, ".bin") == 0) {
+    if (name.rfind("state-", 0) == 0 && name.size() > 10 &&
+        name.compare(name.size() - 4, 4, ".bin") == 0) {
       if (keep_day >= 0 && name == StateFileName(keep_day)) continue;
       fs::remove(entry.path(), ec);
       ++stats->stale_states_removed;
@@ -266,6 +257,9 @@ void SweepCampaignRoot(const std::string& dir, int keep_day,
   }
   if (keep_day < 0) {
     fs::remove(dir + "/" + kMetricsName, ec);
+    // A fresh study resets the directory, including the text store that
+    // version-1 campaigns kept beside the warehouse.
+    fs::remove(dir + "/store.txt", ec);
   }
 }
 
@@ -304,8 +298,6 @@ void AddRecoveryMetrics(const RecoveryStats& stats,
       .Add(stats.resumed ? 1 : 0);
   registry.GetCounter("campaign.recovery.days_replayed")
       .Add(static_cast<std::uint64_t>(stats.days_replayed));
-  registry.GetCounter("campaign.recovery.store_tail_bytes")
-      .Add(stats.store_tail_truncated);
   registry.GetCounter("campaign.recovery.tmp_files_removed")
       .Add(stats.tmp_files_removed);
   registry.GetCounter("campaign.recovery.stale_segments_removed")
@@ -330,13 +322,14 @@ bool RunCampaign(simnet::Internet& net, const CampaignSpec& spec,
     return fail("cannot create " + spec.dir + ": " + ec.message());
   }
   const std::string runlog_path = spec.dir + "/" + kRunLogName;
-  const std::string store_path = spec.dir + "/" + kStoreName;
   const std::string warehouse_dir = spec.dir + "/" + kWarehouseDirName;
   const std::string capture_dir = spec.dir + "/" + kCaptureTapeDirName;
   const std::uint64_t digest = CampaignConfigDigest(spec);
 
+  // Barriers this call passes, not the process-wide total: a process may
+  // run several campaigns.
+  const std::uint64_t barriers_at_start = CrashPointsPassed();
   scanner::RunLog journal;
-  scanner::TextStoreFile store;
   std::unique_ptr<warehouse::WarehouseWriter> wh;
   std::unique_ptr<warehouse::CaptureTapeWriter> tape;
   scanner::ScanResumeState resume_state;
@@ -393,7 +386,7 @@ bool RunCampaign(simnet::Internet& net, const CampaignSpec& spec,
     if (last >= 0) {
       const scanner::DayDigests& committed = contents.committed.back().digests;
       // State first: it proves the committed prefix is reconstructible
-      // before anything on disk gets truncated or deleted.
+      // before anything on disk gets deleted.
       Bytes state_bytes;
       const std::string state_path = spec.dir + "/" + StateFileName(last);
       if (!ReadFileBytes(state_path, &state_bytes, error)) return false;
@@ -404,11 +397,6 @@ bool RunCampaign(simnet::Internet& net, const CampaignSpec& spec,
       std::string state_error;
       if (!DecodeState(state_bytes, last, &resume_state, &state_error)) {
         return fail(state_path + ": " + state_error);
-      }
-      if (!store.Resume(store_path, committed.store_bytes,
-                        committed.store_crc, &recovery.store_tail_truncated,
-                        error)) {
-        return false;
       }
       warehouse::RecoverySweep sweep;
       wh = warehouse::WarehouseWriter::Resume(warehouse_dir, last, &sweep,
@@ -433,7 +421,6 @@ bool RunCampaign(simnet::Internet& net, const CampaignSpec& spec,
       // uncommitted debris — start the study over under the same journal.
       SweepCampaignRoot(spec.dir, -1, &recovery);
       if (!journal.Reopen(runlog_path, contents, error)) return false;
-      if (!store.Create(store_path, error)) return false;
       warehouse::RecoverySweep sweep;
       wh = warehouse::WarehouseWriter::Create(warehouse_dir, error, &sweep);
       if (wh == nullptr) return false;
@@ -443,7 +430,6 @@ bool RunCampaign(simnet::Internet& net, const CampaignSpec& spec,
   } else {
     SweepCampaignRoot(spec.dir, -1, &recovery);
     if (!journal.Start(runlog_path, digest, spec.days, error)) return false;
-    if (!store.Create(store_path, error)) return false;
     warehouse::RecoverySweep sweep;
     wh = warehouse::WarehouseWriter::Create(warehouse_dir, error, &sweep);
     if (wh == nullptr) return false;
@@ -451,17 +437,14 @@ bool RunCampaign(simnet::Internet& net, const CampaignSpec& spec,
     if (!open_tape(-1)) return false;
   }
 
-  CommitDriver driver(spec.dir, warehouse_dir, &journal, &store, wh.get(),
+  CommitDriver driver(spec.dir, warehouse_dir, &journal, wh.get(),
                       tape.get());
-  scanner::MultiStoreWriter backends;
-  backends.Add(&store);
-  backends.Add(wh.get());
 
   scanner::ScanEngineOptions engine;
   engine.threads = spec.threads;
   engine.robustness = spec.robustness;
   engine.blacklist = spec.blacklist;
-  engine.store = &backends;
+  engine.store = wh.get();
   engine.capture = tape.get();
   engine.metrics = spec.metrics;
   engine.start_day = start_day;
@@ -473,7 +456,6 @@ bool RunCampaign(simnet::Internet& net, const CampaignSpec& spec,
   result.scan = scanner::RunShardedDailyScans(net, spec.days, spec.seed,
                                               engine);
   if (!driver.Error().empty()) return fail(driver.Error());
-  if (!store.Ok()) return fail(store.Error());
   if (!wh->ok()) return fail(wh->error());
   if (tape != nullptr && !tape->ok()) return fail(tape->error());
 
@@ -482,7 +464,7 @@ bool RunCampaign(simnet::Internet& net, const CampaignSpec& spec,
                             : driver.LastMetricsJson();
   result.recovery = recovery;
   result.first_scanned_day = start_day;
-  result.barriers_passed = CrashPointsPassed();
+  result.barriers_passed = CrashPointsPassed() - barriers_at_start;
   *out = std::move(result);
   return true;
 }

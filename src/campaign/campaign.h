@@ -1,13 +1,15 @@
 // Crash-safe scan campaigns: the orchestration layer that ties the sharded
-// scan engine, the text store, the columnar warehouse, and the run journal
+// scan engine, the columnar warehouse, and the run journal
 // (scanner/runlog.h) into a restartable multi-day study.
 //
 // A campaign directory looks like:
 //
 //   RUNLOG             write-ahead journal: config digest + per-day
 //                      started/committed records with artifact digests
-//   store.txt          line-based observation store (TextStoreFile)
-//   warehouse/         columnar warehouse + per-day fold checkpoints
+//   warehouse/         columnar observation store (the only one; its text
+//                      export is `tlsharm-import to-text`) + per-day fold
+//                      checkpoints
+//   capture/           adversary capture tape (record_captures only)
 //   state-<day>.bin    campaign state at the last committed day: the scan
 //                      aggregates, the loss ledger, and the cumulative
 //                      metrics snapshot ("TLRS" | version | body | CRC-32)
@@ -15,17 +17,17 @@
 //
 // Commit protocol per scanned day (all on the engine's merge thread):
 //   1. journal day-started            (before any probe)
-//   2. scan the day; store + warehouse EndDay make its data durable
+//   2. scan the day; the warehouse's EndDay makes its segment durable
 //   3. fold checkpoint, state-<day>.bin, metrics.json written durably
 //   4. journal day-committed with every artifact's size/CRC
 //   5. previous day's state file deleted
 // A fail-stop crash between any two steps loses at most the in-flight
 // day. RunCampaign with resume=true reloads the journal, verifies the
-// config digest, restores the last committed state, truncates the store's
-// uncommitted tail, reconciles the warehouse (dropping the partial day,
-// sweeping temp files and stale checkpoints), and rescans only the
-// remaining days — finishing with results and on-disk artifacts
-// byte-identical to an uninterrupted run at any thread count.
+// config digest, restores the last committed state, reconciles the
+// warehouse (dropping the partial day, sweeping temp files and stale
+// checkpoints), and rescans only the remaining days — finishing with
+// results and on-disk artifacts byte-identical to an uninterrupted run at
+// any thread count.
 #pragma once
 
 #include <cstdint>
@@ -82,7 +84,6 @@ struct CampaignSpec {
 struct RecoveryStats {
   bool resumed = false;               // a journal was loaded
   int days_replayed = 0;              // committed days restored, not rescanned
-  std::uint64_t store_tail_truncated = 0;  // uncommitted store bytes cut
   std::uint64_t tmp_files_removed = 0;
   std::uint64_t stale_segments_removed = 0;
   std::uint64_t stale_checkpoints_removed = 0;
@@ -96,7 +97,7 @@ struct CampaignResult {
   std::string metrics_json;
   RecoveryStats recovery;
   int first_scanned_day = 0;   // 0 fresh; k+1 when days 0..k were restored
-  std::uint64_t barriers_passed = 0;  // durability barriers this process hit
+  std::uint64_t barriers_passed = 0;  // durability barriers this run passed
 };
 
 // The campaign's identity: days, seed, robustness knobs, world digest —
@@ -116,7 +117,6 @@ void AddRecoveryMetrics(const RecoveryStats& stats,
 
 // Campaign-directory file names (shared with tests and tooling).
 inline constexpr char kRunLogName[] = "RUNLOG";
-inline constexpr char kStoreName[] = "store.txt";
 inline constexpr char kWarehouseDirName[] = "warehouse";
 inline constexpr char kCaptureTapeDirName[] = "capture";
 inline constexpr char kMetricsName[] = "metrics.json";

@@ -77,8 +77,6 @@ Bytes EncodeRunLog(const RunLogContents& contents) {
     }
     Bytes body;
     AppendVarint(body, static_cast<std::uint64_t>(day.day));
-    AppendVarint(body, day.digests.store_bytes);
-    AppendUint(body, day.digests.store_crc, 4);
     AppendVarint(body, day.digests.warehouse_rows);
     AppendVarint(body, day.digests.warehouse_segments);
     AppendUint(body, day.digests.manifest_crc, 4);
@@ -161,8 +159,6 @@ bool DecodeRunLog(ByteView bytes, RunLogContents* out, std::string* error) {
       std::uint64_t day = 0;
       RunLogDay rec;
       if (!ReadVarint(body, boff, day) ||
-          !ReadVarint(body, boff, rec.digests.store_bytes) ||
-          !ReadBE32(body, boff, rec.digests.store_crc) ||
           !ReadVarint(body, boff, rec.digests.warehouse_rows) ||
           !ReadVarint(body, boff, rec.digests.warehouse_segments) ||
           !ReadBE32(body, boff, rec.digests.manifest_crc) ||

@@ -6,17 +6,19 @@
 //   config        campaign config digest + study length, written once when
 //                 the campaign starts. Resume refuses a digest mismatch —
 //                 a journal must never splice two different studies.
-//   day-started   written BEFORE any of the day's output reaches a store
-//                 backend. On recovery, every artifact beyond the last
+//   day-started   written BEFORE any of the day's output reaches the
+//                 warehouse. On recovery, every artifact beyond the last
 //                 committed day is presumed partial and discarded.
-//   day-committed written AFTER the day's store/warehouse/state barriers:
-//                 carries the committed text-store length + CRC, warehouse
-//                 row count / segment count / MANIFEST CRC, and the state
-//                 checkpoint's size + CRC. Recovery truncates and verifies
-//                 each artifact against exactly these digests.
+//   day-committed written AFTER the day's warehouse/state barriers:
+//                 carries the warehouse row count / segment count /
+//                 MANIFEST CRC and the state checkpoint's size + CRC.
+//                 Recovery verifies each artifact against exactly these
+//                 digests.
 //
 // On-disk format: "TLRJ" | version byte, then records of
 //   type u8 | body_length varint | body | CRC-32 (4B BE over type+len+body)
+// The decoder accepts only kRunLogVersion; a journal of any other version
+// is refused ("unsupported runlog version"), never misread.
 //
 // Every journal update rewrites the whole file via the atomic
 // temp+fsync+rename+dir-fsync discipline (util/durable.h) — the journal is
@@ -35,12 +37,10 @@
 namespace tlsharm::scanner {
 
 inline constexpr char kRunLogMagic[4] = {'T', 'L', 'R', 'J'};
-inline constexpr std::uint8_t kRunLogVersion = 1;
+inline constexpr std::uint8_t kRunLogVersion = 2;
 
 // What a day-committed record certifies about the artifacts on disk.
 struct DayDigests {
-  std::uint64_t store_bytes = 0;       // committed text-store prefix length
-  std::uint32_t store_crc = 0;         // CRC-32 of that prefix
   std::uint64_t warehouse_rows = 0;    // rows across committed segments
   std::uint64_t warehouse_segments = 0;
   std::uint32_t manifest_crc = 0;      // CRC-32 of the MANIFEST bytes

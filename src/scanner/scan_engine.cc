@@ -107,34 +107,18 @@ int ScanThreadsFromEnv() {
   return 1;
 }
 
-std::size_t ScanBatchFromEnv() {
-  if (const char* env = std::getenv("TLSHARM_SCAN_BATCH")) {
-    const long batch = std::atol(env);
-    if (batch >= 1 && batch <= (1L << 24)) {
-      return static_cast<std::size_t>(batch);
-    }
-  }
-  return 65536;
-}
-
 DailyScanResult RunShardedDailyScans(simnet::Internet& net, int days,
                                      std::uint64_t seed,
                                      const ScanEngineOptions& options) {
   const int max_shards = std::max(1, options.threads);
-  const std::size_t batch =
-      options.batch_size != 0 ? options.batch_size : ScanBatchFromEnv();
+  const std::size_t batch = std::max<std::size_t>(options.batch_size, 1);
   const bool tracing = options.trace != nullptr;
   const bool hooked = options.hooks != nullptr;
   // Hooks need cumulative snapshots even when the caller passed no
   // registry, so metering is internal whenever either consumer exists.
   const bool metering = options.metrics != nullptr || hooked;
 
-  // Both store backends (legacy text sink + streaming StoreWriter) receive
-  // the identical canonical stream; `storing` gates all staging work.
-  MultiStoreWriter store;
-  store.Add(options.sink);
-  store.Add(options.store);
-  const bool storing = !store.Empty();
+  const bool storing = options.store != nullptr;
   // The adversary recorder follows the same staging discipline as the
   // store: per-shard buffers, flushed in shard order on the merge thread.
   const bool capturing = options.capture != nullptr;
@@ -328,7 +312,7 @@ DailyScanResult RunShardedDailyScans(simnet::Internet& net, int days,
       }
       if (storing) {
         obs::ProfScope span(kProfStoreAppend);
-        staged.Flush(store);
+        staged.Flush(*options.store);
       }
       if (capturing) {
         obs::ProfScope span(kProfCaptureFlush);
@@ -417,7 +401,7 @@ DailyScanResult RunShardedDailyScans(simnet::Internet& net, int days,
       }
       if (storing) {
         obs::ProfScope span(kProfStoreAppend);
-        requeue_staged.Flush(store);
+        requeue_staged.Flush(*options.store);
       }
       if (capturing) {
         obs::ProfScope span(kProfCaptureFlush);
@@ -432,7 +416,7 @@ DailyScanResult RunShardedDailyScans(simnet::Internet& net, int days,
     // flush (the warehouse closes the day's columnar segment here).
     if (storing) {
       obs::ProfScope span(kProfStoreEndDay);
-      store.EndDay(day);
+      options.store->EndDay(day);
     }
     // Same boundary for the capture tape: its day segment commits here, on
     // the merge thread, before the campaign's commit hooks observe the day.
@@ -506,7 +490,7 @@ DailyScanResult RunShardedDailyScans(simnet::Internet& net, int days,
 
   if (storing) {
     obs::ProfScope span(kProfStoreFinish);
-    store.Finish();
+    options.store->Finish();
   }
   if (capturing) {
     obs::ProfScope span(kProfCaptureFinish);

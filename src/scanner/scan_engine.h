@@ -7,11 +7,11 @@
 // outcomes are pure functions of (seed, domain, time, options), so WHICH
 // worker runs a probe never changes what it observes. Workers stage their
 // observations in per-shard buffers; after the join, the engine merges the
-// shards back in canonical order before anything reaches the result sink
-// or the aggregates. The output contract:
+// shards back in canonical order before anything reaches the store or the
+// aggregates. The output contract:
 //
 //   For a fixed (world, days, seed, robustness), the DailyScanResult and
-//   every byte written to the sink are identical for ANY thread count.
+//   every byte written to the store are identical for ANY thread count.
 //   threads == 1 runs inline on the calling thread and reproduces the
 //   serial scanner exactly; RunDailyScans is now a thin wrapper over it.
 //
@@ -69,8 +69,8 @@ class CampaignHooks {
   virtual ~CampaignHooks() = default;
   // Before the day's first probe (and before any of its store output).
   virtual bool OnDayStarted(int day) = 0;
-  // After the day's observations are fully appended, EndDay'd on the store
-  // backends, and folded into `aggregates`; `loss` holds days [0, day] and
+  // After the day's observations are fully appended, EndDay'd on the store,
+  // and folded into `aggregates`; `loss` holds days [0, day] and
   // `metrics_json` the cumulative scan-metrics snapshot through this day.
   virtual bool OnDayCommitted(int day, const ScanAggregates& aggregates,
                               const std::vector<DayLoss>& loss,
@@ -100,20 +100,16 @@ struct ScanEngineOptions {
   // permutation order and flushed batch-by-batch in shard order, which
   // concatenates to exactly the unbatched stream, so every artifact is
   // byte-identical for ANY batch size (and any thread count).
-  // 0 = the TLSHARM_SCAN_BATCH environment knob, default 65536.
-  std::size_t batch_size = 0;
+  std::size_t batch_size = 65536;
   ScanRobustness robustness;
   // Optional exclusion rules; nullptr scans everything listed.
   const Blacklist* blacklist = nullptr;
-  // Optional raw-observation store. Receives every main-pass and requeue
-  // observation in canonical order (main/DHE interleaved per target, then
-  // the requeue pass in pending order).
-  ObservationWriter* sink = nullptr;
-  // Optional streaming store backend (text file, columnar warehouse, ...).
-  // Same canonical observation stream as `sink`, plus per-day EndDay and
-  // end-of-study Finish hooks — this is how the warehouse closes one
-  // columnar segment per completed virtual day. Both may be set at once;
-  // the engine fans out to each.
+  // Optional observation store (the columnar warehouse, the text writer,
+  // or a MultiStoreWriter over several). Receives every main-pass and
+  // requeue observation in canonical order (main/DHE interleaved per
+  // target, then the requeue pass in pending order), plus per-day EndDay
+  // and end-of-study Finish hooks — this is how the warehouse closes one
+  // columnar segment per completed virtual day.
   StoreWriter* store = nullptr;
   // Optional adversary recorder (attack::CaptureSink — e.g. the columnar
   // capture tape, warehouse/capture.h). When set, every probe connection is
@@ -151,10 +147,6 @@ struct ScanEngineOptions {
 // Worker count from the TLSHARM_THREADS environment knob (1..64,
 // default 1).
 int ScanThreadsFromEnv();
-
-// Main-pass batch size from the TLSHARM_SCAN_BATCH environment knob
-// (1..2^24, default 65536).
-std::size_t ScanBatchFromEnv();
 
 // Runs the paper's daily scans (main ECDHE+static probe plus DHE-only
 // probe per listed HTTPS domain per day, with retries and an end-of-pass

@@ -1,16 +1,7 @@
 #include "scanner/store.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <charconv>
-#include <cstring>
-#include <fstream>
 #include <sstream>
-
-#include "util/crc32.h"
-#include "util/durable.h"
 
 namespace tlsharm::scanner {
 namespace {
@@ -71,20 +62,14 @@ bool ParseLine(const std::string& line, StoredObservation& out) {
   return true;
 }
 
-// Chunk threshold for TextStoreFile's streaming writes: staged lines are
-// written out (without fsync) whenever they reach this size, so staging
-// memory is O(chunk), not O(day).
-constexpr std::size_t kStoreChunkBytes = std::size_t{1} << 20;
-
 void AppendDecimal(std::string& out, std::uint64_t value) {
   char buf[20];
   const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
   out.append(buf, end);
 }
 
-// Formats one store line into `out` (appending). The single definition of
-// the on-disk text format — the ostream writer renders through it too, so
-// the two paths cannot drift.
+// Formats one store line into `out` (appending): the single definition of
+// the text format.
 void AppendObservationLine(std::string& out, int day,
                            const HandshakeObservation& obs) {
   AppendDecimal(out, static_cast<std::uint64_t>(day));
@@ -170,208 +155,6 @@ std::vector<StoredObservation> ParseObservations(const std::string& data,
   while (auto next = reader.Next()) out.push_back(*next);
   if (corrupt != nullptr) *corrupt = reader.Corrupt();
   return out;
-}
-
-namespace {
-
-bool WriteAll(int fd, const char* data, std::size_t size, std::string* error) {
-  std::size_t off = 0;
-  while (off < size) {
-    const ssize_t n = ::write(fd, data + off, size - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (error != nullptr) *error = std::strerror(errno);
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool ReadFileString(const std::string& path, std::string* out,
-                    std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
-  std::ostringstream content;
-  content << in.rdbuf();
-  *out = content.str();
-  return true;
-}
-
-ByteView AsBytes(const std::string& s) {
-  return ByteView(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
-}
-
-}  // namespace
-
-TextStoreFile::TextStoreFile()
-    : crc_state_(Crc32Init()), day_crc_state_(Crc32Init()) {}
-
-TextStoreFile::~TextStoreFile() { Close(); }
-
-void TextStoreFile::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-bool TextStoreFile::OpenFd(const std::string& path, bool truncate,
-                           std::string* error) {
-  Close();
-  int flags = O_WRONLY | O_CREAT;
-  if (truncate) flags |= O_TRUNC;
-  fd_ = ::open(path.c_str(), flags, 0644);
-  if (fd_ < 0) {
-    if (error != nullptr) {
-      *error = path + ": " + std::strerror(errno);
-    }
-    return false;
-  }
-  path_ = path;
-  return true;
-}
-
-bool TextStoreFile::Create(const std::string& path, std::string* error) {
-  if (!OpenFd(path, /*truncate=*/true, error)) return false;
-  buffer_.clear();
-  committed_bytes_ = 0;
-  crc_state_ = Crc32Init();
-  day_crc_state_ = crc_state_;
-  day_bytes_ = 0;
-  error_.clear();
-  return true;
-}
-
-bool TextStoreFile::Resume(const std::string& path,
-                           std::uint64_t committed_bytes,
-                           std::uint32_t committed_crc,
-                           std::uint64_t* truncated, std::string* error) {
-  std::string contents;
-  if (!ReadFileString(path, &contents, error)) return false;
-  if (contents.size() < committed_bytes) {
-    if (error != nullptr) {
-      *error = path + ": shorter than the journal's committed prefix (" +
-               std::to_string(contents.size()) + " < " +
-               std::to_string(committed_bytes) + " bytes)";
-    }
-    return false;
-  }
-  const std::uint32_t state =
-      Crc32Update(Crc32Init(), ByteView(AsBytes(contents).data(),
-                                        static_cast<std::size_t>(
-                                            committed_bytes)));
-  if (Crc32Final(state) != committed_crc) {
-    if (error != nullptr) {
-      *error = path + ": committed prefix fails its journal CRC";
-    }
-    return false;
-  }
-  if (truncated != nullptr) *truncated = contents.size() - committed_bytes;
-  if (!OpenFd(path, /*truncate=*/false, error)) return false;
-  if (::ftruncate(fd_, static_cast<off_t>(committed_bytes)) != 0 ||
-      ::lseek(fd_, 0, SEEK_END) < 0) {
-    if (error != nullptr) *error = path + ": " + std::strerror(errno);
-    Close();
-    return false;
-  }
-  std::string sync_err;
-  if (!FsyncFd(fd_, &sync_err)) {
-    if (error != nullptr) *error = path + ": " + sync_err;
-    Close();
-    return false;
-  }
-  buffer_.clear();
-  committed_bytes_ = committed_bytes;
-  crc_state_ = state;
-  day_crc_state_ = state;
-  day_bytes_ = 0;
-  error_.clear();
-  return true;
-}
-
-bool TextStoreFile::Reopen(const std::string& path, std::size_t* torn_lines,
-                           std::string* error) {
-  std::string contents;
-  if (!ReadFileString(path, &contents, error)) return false;
-  std::size_t keep = contents.size();
-  std::size_t torn = 0;
-  if (keep > 0 && contents[keep - 1] != '\n') {
-    const std::size_t nl = contents.rfind('\n');
-    keep = (nl == std::string::npos) ? 0 : nl + 1;
-    torn = 1;
-  }
-  if (torn_lines != nullptr) *torn_lines = torn;
-  if (!OpenFd(path, /*truncate=*/false, error)) return false;
-  if (::ftruncate(fd_, static_cast<off_t>(keep)) != 0 ||
-      ::lseek(fd_, 0, SEEK_END) < 0) {
-    if (error != nullptr) *error = path + ": " + std::strerror(errno);
-    Close();
-    return false;
-  }
-  buffer_.clear();
-  committed_bytes_ = keep;
-  crc_state_ = Crc32Update(Crc32Init(),
-                           ByteView(AsBytes(contents).data(), keep));
-  day_crc_state_ = crc_state_;
-  day_bytes_ = 0;
-  error_.clear();
-  return true;
-}
-
-void TextStoreFile::Append(int day, const HandshakeObservation& obs) {
-  AppendObservationLine(buffer_, day, obs);
-  if (buffer_.size() >= kStoreChunkBytes) FlushChunk();
-}
-
-void TextStoreFile::FlushChunk() {
-  if (!error_.empty() || buffer_.empty()) return;
-  if (fd_ < 0) {
-    error_ = "store file not open";
-    return;
-  }
-  std::string err;
-  if (!WriteAll(fd_, buffer_.data(), buffer_.size(), &err)) {
-    error_ = path_ + ": " + err;
-    return;
-  }
-  day_crc_state_ = Crc32Update(day_crc_state_, AsBytes(buffer_));
-  day_bytes_ += buffer_.size();
-  buffer_.clear();
-}
-
-void TextStoreFile::EndDay(int) {
-  FlushChunk();
-  if (!error_.empty()) return;
-  if (fd_ < 0) {
-    error_ = "store file not open";
-    return;
-  }
-  std::string err;
-  if (!FsyncFd(fd_, &err)) {
-    error_ = path_ + ": " + err;
-    return;
-  }
-  CrashPoint();  // the day's store block is durable
-  crc_state_ = day_crc_state_;
-  committed_bytes_ += day_bytes_;
-  day_bytes_ = 0;
-}
-
-void TextStoreFile::Finish() {
-  if (error_.empty() && fd_ >= 0 && (!buffer_.empty() || day_bytes_ != 0)) {
-    // Engines end every day before finishing; anything still staged means
-    // a misuse, but flush it rather than drop it.
-    EndDay(0);
-  }
-  Close();
-}
-
-std::uint32_t TextStoreFile::CommittedCrc() const {
-  return Crc32Final(crc_state_);
 }
 
 void ShardedObservationBuffer::Append(std::size_t shard, int day,

@@ -1,7 +1,8 @@
 // Observation store: serializes daily scan observations to a line-based
 // record format and reloads them, mirroring the paper's publication of its
-// raw scan data on scans.io (§3). Analyses can then run offline against a
-// stored study instead of re-driving the scanner.
+// raw scan data on scans.io (§3). Campaigns record into the columnar
+// warehouse; this text format is its export and interchange view
+// (`tlsharm-import to-text` / `to-warehouse`, warehouse/import.h).
 //
 // Format (one observation per line, '|'-separated ASCII):
 //   day|domain|flags|suite|kex_group|kex_value|session_id|stek_id|hint|failure
@@ -35,9 +36,9 @@ void UnpackObservationFlags(int flags, HandshakeObservation& observation);
 
 // Streaming observation sink: the scan engines push each observation the
 // moment the day's canonical merge reaches it, and signal day boundaries,
-// so a backend can flush incrementally (a text backend streams lines, the
-// warehouse backend closes one columnar segment per day) instead of any
-// caller accumulating the whole study in memory first.
+// so a backend can flush incrementally (the text writer streams lines, the
+// warehouse closes one columnar segment per day) instead of any caller
+// accumulating the whole study in memory first.
 //
 // Contract (what the engines guarantee, and what backends may rely on):
 //   * Append days are non-decreasing; within a day, observations arrive in
@@ -57,14 +58,14 @@ class StoreWriter {
   virtual void Finish() {}
 };
 
-// Fans one observation stream out to several StoreWriters — how a scan
-// writes the text store and the warehouse in a single pass.
+// Fans one observation stream out to several StoreWriters — how a tool
+// records the text codec and the warehouse from a single scan to
+// cross-check the two encodings.
 class MultiStoreWriter : public StoreWriter {
  public:
   void Add(StoreWriter* writer) {
     if (writer != nullptr) writers_.push_back(writer);
   }
-  bool Empty() const { return writers_.empty(); }
 
   void Append(int day, const HandshakeObservation& observation) override {
     for (StoreWriter* w : writers_) w->Append(day, observation);
@@ -95,76 +96,6 @@ class ObservationWriter : public StoreWriter {
  private:
   std::ostream& out_;
   std::size_t written_ = 0;
-};
-
-// Durable file-backed text store. Appended lines stage in a small chunk
-// buffer that is streamed to the file whenever it fills (so a
-// million-domain day holds at most one chunk in memory, not the day);
-// EndDay flushes the tail, fsyncs, and passes one crash barrier
-// (util/durable.h). Durability is still day-granular: the committed prefix
-// (bytes, streaming CRC-32) only advances at EndDay, the campaign journal
-// records it at each day commit, and Resume() restores exactly that prefix
-// (truncate + verify) so a resumed run's CRC chain continues
-// bit-identically — any chunks of an uncommitted day are cut by the
-// truncate. Only the journal-less Reopen() can observe a partial day after
-// a crash (complete lines of the torn day now reach the disk before its
-// commit); journaled campaigns never do.
-class TextStoreFile : public StoreWriter {
- public:
-  TextStoreFile();
-  ~TextStoreFile() override;
-  TextStoreFile(const TextStoreFile&) = delete;
-  TextStoreFile& operator=(const TextStoreFile&) = delete;
-
-  // Starts a fresh store file (truncating any previous one).
-  bool Create(const std::string& path, std::string* error);
-
-  // Reopens after a crash using the journal's committed digests: truncates
-  // the file to `committed_bytes`, verifies the surviving prefix's CRC,
-  // and positions for append. `truncated` (optional) reports how many
-  // uncommitted tail bytes were cut.
-  bool Resume(const std::string& path, std::uint64_t committed_bytes,
-              std::uint32_t committed_crc, std::uint64_t* truncated,
-              std::string* error);
-
-  // Journal-less reopen for standalone tooling: a torn final line (no
-  // trailing newline — the signature of a crash mid-write) is truncated
-  // away rather than rejected; `torn_lines` reports 0 or 1 so callers can
-  // surface it through the store-corruption counter.
-  bool Reopen(const std::string& path, std::size_t* torn_lines,
-              std::string* error);
-
-  void Append(int day, const HandshakeObservation& observation) override;
-  void EndDay(int day) override;
-  void Finish() override;
-
-  // I/O failures latch (StoreWriter's interface cannot return them);
-  // campaign drivers check Ok() after each EndDay.
-  bool Ok() const { return error_.empty(); }
-  const std::string& Error() const { return error_; }
-
-  // The durable prefix: bytes and finalized CRC-32 through the last EndDay.
-  std::uint64_t CommittedBytes() const { return committed_bytes_; }
-  std::uint32_t CommittedCrc() const;
-
- private:
-  bool OpenFd(const std::string& path, bool truncate, std::string* error);
-  void Close();
-  // Streams the staged chunk to the file (no fsync) and folds it into the
-  // current day's CRC state.
-  void FlushChunk();
-
-  int fd_ = -1;
-  std::string path_;
-  std::string buffer_;          // staged lines awaiting the next chunk write
-  std::uint64_t committed_bytes_ = 0;
-  std::uint32_t crc_state_ = 0;  // streaming state over the committed prefix
-  // Streaming state over committed prefix + this day's flushed chunks, and
-  // how many uncommitted bytes those chunks hold; promoted into the
-  // committed pair at EndDay.
-  std::uint32_t day_crc_state_ = 0;
-  std::uint64_t day_bytes_ = 0;
-  std::string error_;
 };
 
 class ObservationReader {

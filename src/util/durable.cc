@@ -15,8 +15,9 @@ namespace {
 
 // Performance-plane sites: "durable.fsync" wraps every fsync this file
 // issues (file and directory alike), so the prof plane's commit-latency
-// totals cover the text store's day blocks, the campaign's state writes
-// and the journal. Wall-clock only — see obs/prof.h.
+// totals cover the warehouse and capture-tape segments and MANIFESTs, the
+// fold checkpoints, the campaign's state writes and the journal.
+// Wall-clock only — see obs/prof.h.
 const obs::ProfSite kProfFsync("durable.fsync", obs::kProfNoTrace);
 const obs::ProfSite kProfDurableWrite("durable.write");
 
@@ -39,8 +40,8 @@ std::string Errno(const std::string& what, const std::string& path) {
   return what + " " + path + ": " + std::strerror(errno);
 }
 
-}  // namespace
-
+// Passes one durability barrier: bumps the process-wide counter and, when
+// it reaches TLSHARM_CRASH_AFTER, terminates the process.
 void CrashPoint() {
   const std::uint64_t n = g_barriers.fetch_add(1) + 1;
   const std::uint64_t target = CrashAfter();
@@ -51,14 +52,9 @@ void CrashPoint() {
   }
 }
 
-std::uint64_t CrashPointsPassed() { return g_barriers.load(); }
+}  // namespace
 
-bool FsyncFd(int fd, std::string* error) {
-  obs::ProfScope prof_span(kProfFsync);
-  if (::fsync(fd) == 0) return true;
-  if (error != nullptr) *error = Errno("fsync fd for", "descriptor");
-  return false;
-}
+std::uint64_t CrashPointsPassed() { return g_barriers.load(); }
 
 bool FsyncParentDir(const std::string& path, std::string* error) {
   const std::size_t slash = path.find_last_of('/');

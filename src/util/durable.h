@@ -12,13 +12,13 @@
 // file, which recovery sweeps.
 //
 // Crash injection: TLSHARM_CRASH_AFTER=<n> makes the process _exit(137) at
-// the n-th durability barrier it passes (1-based). Barriers are placed
-// inside DurableWriteFile (after the temp fsync, after the rename, and
-// after the directory fsync) and at the other commit points the campaign
-// layer marks explicitly via CrashPoint(). All barriers execute on the
-// scan engine's merge thread, so for a fixed workload the n-th barrier is
-// the same program state at any thread count — the property the
-// crash-recovery ladder test relies on.
+// the n-th durability barrier it passes (1-based) — no stream flushing, no
+// destructors, like a kill -9 at that instant. The barriers are the three
+// steps of every DurableWriteFile: after the temp fsync, after the rename,
+// and after the directory fsync. All of them execute on the scan engine's
+// merge thread, so for a fixed workload the n-th barrier is the same
+// program state at any thread count — the property the crash-recovery
+// ladder test relies on.
 #pragma once
 
 #include <cstdint>
@@ -28,14 +28,9 @@
 
 namespace tlsharm {
 
-// Passes one durability barrier: bumps the process-wide barrier counter
-// and, when TLSHARM_CRASH_AFTER is set and the counter reaches it,
-// terminates the process immediately with _exit(137) — no stream flushing,
-// no destructors, like a kill -9 at that instant.
-void CrashPoint();
-
-// Barriers passed so far in this process (0 when crash injection is off —
-// the counter always runs, so harnesses can size their kill ladder).
+// Barriers passed so far in this process. The counter always runs, crash
+// injection or not; the difference of two readings counts the barriers
+// one run passed, which is how harnesses size their kill ladder.
 std::uint64_t CrashPointsPassed();
 
 // Atomically replaces `path` with `bytes` using the temp+fsync+rename+
@@ -47,8 +42,5 @@ bool DurableWriteFile(const std::string& path, ByteView bytes,
 // fsyncs the directory containing `path` so a completed rename survives a
 // power cut. False + `error` when the directory cannot be opened/synced.
 bool FsyncParentDir(const std::string& path, std::string* error);
-
-// fsyncs one open descriptor; false on failure (errno in `error`).
-bool FsyncFd(int fd, std::string* error);
 
 }  // namespace tlsharm

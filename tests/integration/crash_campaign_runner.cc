@@ -62,12 +62,11 @@ int main(int argc, char** argv) {
   }
   std::size_t lost = 0;
   for (const auto& day : result.scan.loss) lost += day.lost;
-  std::printf("barriers=%" PRIu64 " first_day=%d replayed=%d store_tail=%"
-              PRIu64 " tmp=%" PRIu64 " stale_seg=%" PRIu64 " stale_ckpt=%"
-              PRIu64 " stale_state=%" PRIu64 " core=%zu lost=%zu\n",
+  std::printf("barriers=%" PRIu64 " first_day=%d replayed=%d tmp=%" PRIu64
+              " stale_seg=%" PRIu64 " stale_ckpt=%" PRIu64
+              " stale_state=%" PRIu64 " core=%zu lost=%zu\n",
               result.barriers_passed, result.first_scanned_day,
               result.recovery.days_replayed,
-              result.recovery.store_tail_truncated,
               result.recovery.tmp_files_removed,
               result.recovery.stale_segments_removed,
               result.recovery.stale_checkpoints_removed,

@@ -10,16 +10,17 @@
 // TLSHARM_CRASH_AFTER=<n>, which _exit(137)s the process at the n-th
 // durability barrier (util/durable.h). All barriers run on the engine's
 // merge thread, so barrier n is the same program state at any thread
-// count. Barrier layout per study day (engine + campaign commit order):
+// count. Every barrier is one step of a DurableWriteFile (fsync, rename,
+// dir fsync), three per committed file. Layout per study day (engine +
+// campaign commit order):
 //
-//   +1..3   journal day-started       (DurableWriteFile: fsync/rename/dir)
-//   +4      text store day block      (fsync barrier in EndDay)
-//   +5..7   warehouse segment write
-//   +8..10  warehouse MANIFEST update
-//   +11..13 fold checkpoint write
-//   +14..16 campaign state write
-//   +17..19 metrics.json write
-//   +20..22 journal day-committed
+//   +1..3   journal day-started
+//   +4..6   warehouse segment write
+//   +7..9   warehouse MANIFEST update
+//   +10..12 fold checkpoint write
+//   +13..15 campaign state write
+//   +16..18 metrics.json write
+//   +19..21 journal day-committed
 //
 // preceded by 3 barriers for the initial journal write and followed by 3
 // for the final manifest rewrite in Finish().
@@ -36,7 +37,9 @@
 #include <string>
 #include <vector>
 
+#include "campaign/campaign.h"
 #include "gtest/gtest.h"
+#include "simnet/internet.h"
 
 namespace {
 
@@ -133,7 +136,6 @@ class CrashRecoveryTest : public ::testing::Test {
     ASSERT_GT(golden_barriers_, 20u);
     golden_tree_ = SnapshotTree(golden_dir);
     ASSERT_TRUE(golden_tree_.count("RUNLOG"));
-    ASSERT_TRUE(golden_tree_.count("store.txt"));
     ASSERT_TRUE(golden_tree_.count("warehouse/MANIFEST"));
   }
 
@@ -165,12 +167,13 @@ TEST_F(CrashRecoveryTest, LadderCoversEveryCommitClassByteIdentically) {
   // table above), plus the first barrier (initial journal write), a
   // mid-study point, and the very last barrier (final manifest rewrite).
   const std::uint64_t per_day = (golden_barriers_ - 6) / kDays;
+  ASSERT_EQ(per_day, 21u) << "barrier layout changed; update the table";
   ASSERT_EQ(golden_barriers_, 6 + per_day * kDays)
       << "barrier layout changed; update the ladder offsets";
   const std::uint64_t day1 = 3 + per_day;  // base of study day 1
   std::set<long> ladder = {1, static_cast<long>(golden_barriers_ / 2),
                            static_cast<long>(golden_barriers_)};
-  for (const std::uint64_t offset : {1u, 4u, 5u, 8u, 11u, 14u, 17u, 20u}) {
+  for (const std::uint64_t offset : {1u, 4u, 7u, 10u, 13u, 16u, 19u}) {
     ASSERT_LT(offset, per_day);
     ladder.insert(static_cast<long>(day1 + offset));
   }
@@ -213,20 +216,104 @@ TEST_F(CrashRecoveryTest, ResumingACompletedCampaignChangesNothing) {
 }
 
 TEST_F(CrashRecoveryTest, ResumeRepairsCrashDebrisAndReportsIt) {
-  // Kill inside the day-1 warehouse MANIFEST update: the day's store block
-  // and segment are durable but the day never committed, so resume must
-  // truncate the store tail and drop the partial segment.
+  // Kill inside the day-1 warehouse MANIFEST update: the day's segment is
+  // durable but the day never committed, so resume must drop it.
   const std::uint64_t per_day = (golden_barriers_ - 6) / kDays;
-  const long n = static_cast<long>(3 + per_day + 9);
+  const long n = static_cast<long>(3 + per_day + 8);
   const std::string dir = Dir("debris");
   const RunOutcome crashed = RunCampaign(dir, 1, false, n);
   ASSERT_EQ(crashed.exit_code, 137) << crashed.output;
   const RunOutcome resumed = RunCampaign(dir, 1, true, 0);
   ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
   EXPECT_EQ(ParseField(resumed.output, "replayed"), 1u);   // day 0 restored
-  EXPECT_GT(ParseField(resumed.output, "store_tail"), 0u); // day 1 block cut
   EXPECT_GT(ParseField(resumed.output, "stale_seg"), 0u);  // day 1 segment
   ExpectTreesEqual(golden_tree_, SnapshotTree(dir), "debris");
+}
+
+// In-process checks that need no crash injection: what a fresh start
+// sweeps, what a run reports about itself, and what a resume refuses.
+class CampaignTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    root_ = fs::temp_directory_path() /
+            ("tlsharm-campaign-" + std::to_string(::getpid()));
+    fs::remove_all(root_);
+    fs::create_directories(root_);
+  }
+  void TearDown() override { fs::remove_all(root_); }
+
+  std::string Dir(const std::string& name) const { return root_ / name; }
+
+  // One-day campaign on a freshly built world.
+  static bool Run(const std::string& dir, bool resume,
+                  tlsharm::campaign::CampaignResult* result,
+                  std::string* error) {
+    tlsharm::simnet::Internet net(
+        tlsharm::simnet::PaperPopulationSpec(kPopulation), kSeed);
+    tlsharm::campaign::CampaignSpec spec;
+    spec.dir = dir;
+    spec.days = 1;
+    spec.seed = kSeed;
+    spec.resume = resume;
+    return tlsharm::campaign::RunCampaign(net, spec, result, error);
+  }
+
+  static void WriteFile(const std::string& path, const std::string& bytes) {
+    std::ofstream(path, std::ios::binary) << bytes;
+  }
+
+  fs::path root_;
+};
+
+TEST_F(CampaignTest, FreshStartRemovesEveryStaleStateFile) {
+  using tlsharm::campaign::StateFileName;
+  const std::string dir = Dir("stale");
+  fs::create_directories(dir);
+  WriteFile(dir + "/" + StateFileName(0), "stale day 0");
+  WriteFile(dir + "/" + StateFileName(4), "stale day 4");
+
+  tlsharm::campaign::CampaignResult result;
+  std::string error;
+  ASSERT_TRUE(Run(dir, false, &result, &error)) << error;
+  EXPECT_EQ(result.recovery.stale_states_removed, 2u);
+  EXPECT_FALSE(fs::exists(dir + "/" + StateFileName(4)));
+  // The day-0 state file now on disk is this study's own commit.
+  const auto tree = SnapshotTree(dir);
+  ASSERT_TRUE(tree.count(StateFileName(0)));
+  EXPECT_NE(tree.at(StateFileName(0)), "stale day 0");
+}
+
+TEST_F(CampaignTest, BarrierCountCoversOnlyItsOwnRun) {
+  tlsharm::campaign::CampaignResult first, second;
+  std::string error;
+  ASSERT_TRUE(Run(Dir("first"), false, &first, &error)) << error;
+  ASSERT_TRUE(Run(Dir("second"), false, &second, &error)) << error;
+  EXPECT_GT(first.barriers_passed, 0u);
+  EXPECT_EQ(second.barriers_passed, first.barriers_passed);
+}
+
+TEST_F(CampaignTest, RefusesAVersionOneJournalAndChangesNothing) {
+  using tlsharm::campaign::kRunLogName;
+  const std::string dir = Dir("v1");
+  tlsharm::campaign::CampaignResult result;
+  std::string error;
+  ASSERT_TRUE(Run(dir, false, &result, &error)) << error;
+
+  // A version-1 journal's day records carry text-store digests this
+  // decoder does not read; resume must refuse it rather than misparse it.
+  auto tree = SnapshotTree(dir);
+  ASSERT_TRUE(tree.count(kRunLogName));
+  std::string runlog = tree.at(kRunLogName);
+  ASSERT_GT(runlog.size(), 4u);
+  runlog[4] = 1;
+  WriteFile(dir + "/" + kRunLogName, runlog);
+  tree = SnapshotTree(dir);
+
+  error.clear();
+  EXPECT_FALSE(Run(dir, true, &result, &error));
+  EXPECT_NE(error.find("unsupported runlog version"), std::string::npos)
+      << error;
+  EXPECT_EQ(SnapshotTree(dir), tree);
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ TelemetryOutput RunInstrumentedStudy(int threads, bool telemetry) {
   ScanEngineOptions options;
   options.threads = threads;
   options.robustness.retry.max_attempts = 3;
-  options.sink = &sink;
+  options.store = &sink;
   if (telemetry) {
     options.metrics = &metrics;
     options.trace = &trace_sink;
@@ -151,7 +151,7 @@ TEST(TelemetryDeterminismTest, CorruptStoreLinesAreCounted) {
   std::ostringstream stream;
   ObservationWriter sink(stream);
   ScanEngineOptions options;
-  options.sink = &sink;
+  options.store = &sink;
   RunShardedDailyScans(net, 1, 13, options);
 
   std::string data = stream.str();

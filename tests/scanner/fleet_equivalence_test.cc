@@ -34,6 +34,7 @@ constexpr std::uint64_t kScanSeed = 777;
 // through the scan.
 constexpr std::size_t kUnboundedMb = std::size_t{1} << 20;
 constexpr std::size_t kBoundedMb = 1;
+const std::size_t kDefaultBatch = ScanEngineOptions{}.batch_size;
 
 struct StudyArtifacts {
   std::string observations;
@@ -73,12 +74,14 @@ StudyArtifacts RunStudy(std::size_t budget_mb, int threads,
   ObservationWriter sink(stream);
   obs::MetricsRegistry metrics;
 
+  MultiStoreWriter stores;
+  stores.Add(&sink);
+  stores.Add(warehouse.get());
   ScanEngineOptions options;
   options.threads = threads;
   options.batch_size = batch_size;
   options.robustness.retry.max_attempts = 2;
-  options.sink = &sink;
-  options.store = warehouse.get();
+  options.store = &stores;
   options.capture = capture.get();
   options.metrics = &metrics;
 
@@ -147,7 +150,8 @@ void ExpectSameArtifacts(const StudyArtifacts& got,
 }
 
 TEST(FleetEquivalenceTest, LazyFleetMatchesMaterializedByteForByte) {
-  const StudyArtifacts baseline = RunStudy(kUnboundedMb, 1, 0, "unbounded_t1");
+  const StudyArtifacts baseline =
+      RunStudy(kUnboundedMb, 1, kDefaultBatch, "unbounded_t1");
 
   // The study must actually exercise the interesting paths.
   ASSERT_FALSE(baseline.observations.empty());
@@ -162,17 +166,19 @@ TEST(FleetEquivalenceTest, LazyFleetMatchesMaterializedByteForByte) {
 
   for (const int threads : {1, 2, 8}) {
     const std::string tag = "bounded_t" + std::to_string(threads);
-    ExpectSameArtifacts(RunStudy(kBoundedMb, threads, 0, tag), baseline,
+    ExpectSameArtifacts(RunStudy(kBoundedMb, threads, kDefaultBatch, tag),
+                        baseline,
                         "bounded/" + std::to_string(threads) + " threads");
   }
   // Unbounded parallel too: isolates eviction effects from sharding.
-  ExpectSameArtifacts(RunStudy(kUnboundedMb, 8, 0, "unbounded_t8"), baseline,
-                      "unbounded/8 threads");
+  ExpectSameArtifacts(
+      RunStudy(kUnboundedMb, 8, kDefaultBatch, "unbounded_t8"), baseline,
+      "unbounded/8 threads");
 }
 
 TEST(FleetEquivalenceTest, BatchSizeNeverChangesArtifacts) {
   const StudyArtifacts baseline =
-      RunStudy(kBoundedMb, 2, 0, "batch_default");
+      RunStudy(kBoundedMb, 2, kDefaultBatch, "batch_default");
   // A prime far smaller than the population: every day spans many ragged
   // batches, so flush boundaries land mid-shard everywhere.
   ExpectSameArtifacts(RunStudy(kBoundedMb, 2, 97, "batch_97"), baseline,

@@ -30,7 +30,7 @@ StudyOutput RunStudy(int threads) {
   ScanEngineOptions options;
   options.threads = threads;
   options.robustness.retry.max_attempts = 3;
-  options.sink = &sink;
+  options.store = &sink;
 
   StudyOutput out;
   out.result = RunShardedDailyScans(net, /*days=*/3, /*seed=*/777, options);
@@ -105,7 +105,7 @@ TEST(ParallelDeterminismTest, BlacklistedTargetsAreNeverProbed) {
   ScanEngineOptions options;
   options.threads = 4;
   options.blacklist = &blacklist;
-  options.sink = &sink;
+  options.store = &sink;
   RunShardedDailyScans(net, 1, 13, options);
 
   const auto observations = ParseObservations(stream.str());

@@ -26,8 +26,6 @@ RunLogContents SampleContents() {
   for (int day = 0; day < 3; ++day) {
     RunLogDay rec;
     rec.day = day;
-    rec.digests.store_bytes = 1000u * static_cast<unsigned>(day + 1);
-    rec.digests.store_crc = 0xa0a0a0a0u + static_cast<unsigned>(day);
     rec.digests.warehouse_rows = 50u * static_cast<unsigned>(day + 1);
     rec.digests.warehouse_segments = static_cast<unsigned>(day + 1);
     rec.digests.manifest_crc = 0xb0b0b0b0u - static_cast<unsigned>(day);

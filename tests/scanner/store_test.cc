@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 namespace tlsharm::scanner {
@@ -137,110 +135,6 @@ TEST(ObservationStoreTest, LargeBatchRoundTrip) {
     EXPECT_EQ(out[i].observation.stek_id, in[i].observation.stek_id);
     EXPECT_EQ(out[i].day, in[i].day);
   }
-}
-
-class TextStoreFileTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("store-test-" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
-    path_ = (dir_ / "store.txt").string();
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  std::string FileBytes() {
-    std::ifstream in(path_, std::ios::binary);
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    return bytes.str();
-  }
-
-  std::filesystem::path dir_;
-  std::string path_;
-};
-
-TEST_F(TextStoreFileTest, CommitsDayBlocksWithStableDigests) {
-  TextStoreFile store;
-  std::string error;
-  ASSERT_TRUE(store.Create(path_, &error)) << error;
-  EXPECT_EQ(store.CommittedBytes(), 0u);
-  store.Append(0, Sample(0, 1).observation);
-  store.Append(0, Sample(0, 2).observation);
-  EXPECT_EQ(store.CommittedBytes(), 0u);  // buffered until EndDay
-  store.EndDay(0);
-  ASSERT_TRUE(store.Ok()) << store.Error();
-  const std::uint64_t day0_bytes = store.CommittedBytes();
-  const std::uint32_t day0_crc = store.CommittedCrc();
-  EXPECT_GT(day0_bytes, 0u);
-  store.Append(1, Sample(1, 1).observation);
-  store.EndDay(1);
-  store.Finish();
-  EXPECT_GT(store.CommittedBytes(), day0_bytes);
-
-  // Resume at the day-0 digests: the day-1 block is cut, the prefix kept.
-  TextStoreFile resumed;
-  std::uint64_t truncated = 0;
-  ASSERT_TRUE(resumed.Resume(path_, day0_bytes, day0_crc, &truncated,
-                             &error)) << error;
-  EXPECT_GT(truncated, 0u);
-  EXPECT_EQ(resumed.CommittedBytes(), day0_bytes);
-  EXPECT_EQ(resumed.CommittedCrc(), day0_crc);
-  EXPECT_EQ(FileBytes().size(), day0_bytes);
-}
-
-TEST_F(TextStoreFileTest, ResumeRejectsWrongCrcAndShortFile) {
-  TextStoreFile store;
-  std::string error;
-  ASSERT_TRUE(store.Create(path_, &error)) << error;
-  store.Append(0, Sample(0, 1).observation);
-  store.EndDay(0);
-  const std::uint64_t bytes = store.CommittedBytes();
-  const std::uint32_t crc = store.CommittedCrc();
-  store.Finish();
-
-  TextStoreFile resumed;
-  EXPECT_FALSE(resumed.Resume(path_, bytes, crc ^ 1u, nullptr, &error));
-  EXPECT_FALSE(error.empty());
-  // File shorter than the journal claims: committed data is gone, which
-  // is unrecoverable and must be an error, not a silent restart.
-  error.clear();
-  EXPECT_FALSE(resumed.Resume(path_, bytes + 100, crc, nullptr, &error));
-  EXPECT_FALSE(error.empty());
-}
-
-TEST_F(TextStoreFileTest, ReopenTruncatesATornFinalLine) {
-  TextStoreFile store;
-  std::string error;
-  ASSERT_TRUE(store.Create(path_, &error)) << error;
-  store.Append(0, Sample(0, 1).observation);
-  store.Append(0, Sample(0, 2).observation);
-  store.EndDay(0);
-  store.Finish();
-  const std::string intact = FileBytes();
-
-  // Tear the final line mid-record, as a crash mid-write would.
-  {
-    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-    out.write(intact.data(),
-              static_cast<std::streamsize>(intact.size() - 5));
-  }
-  TextStoreFile reopened;
-  std::size_t torn = 0;
-  ASSERT_TRUE(reopened.Reopen(path_, &torn, &error)) << error;
-  EXPECT_EQ(torn, 1u);
-  const std::string repaired = FileBytes();
-  EXPECT_LT(repaired.size(), intact.size() - 5);
-  EXPECT_TRUE(repaired.empty() || repaired.back() == '\n');
-  EXPECT_EQ(intact.compare(0, repaired.size(), repaired), 0);
-
-  // An intact file reopens unchanged.
-  std::ofstream(path_, std::ios::binary | std::ios::trunc) << intact;
-  TextStoreFile again;
-  torn = 99;
-  ASSERT_TRUE(again.Reopen(path_, &torn, &error)) << error;
-  EXPECT_EQ(torn, 0u);
-  EXPECT_EQ(FileBytes(), intact);
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ std::string RecordTextStudy() {
   scanner::ObservationWriter sink(stream);
   scanner::ScanEngineOptions options;
   options.robustness.retry.max_attempts = 3;
-  options.sink = &sink;
+  options.store = &sink;
   scanner::RunShardedDailyScans(net, 3, 99, options);
   return stream.str();
 }
@@ -80,10 +80,12 @@ TEST(ImportTest, ImportedWarehouseMatchesDirectlyRecordedOne) {
 
   simnet::Internet net(simnet::PaperPopulationSpec(400), 11);
   net.SetFaultSpec(simnet::DefaultFaultSpec(1.0));
+  scanner::MultiStoreWriter stores;
+  stores.Add(&sink);
+  stores.Add(writer.get());
   scanner::ScanEngineOptions options;
   options.robustness.retry.max_attempts = 3;
-  options.sink = &sink;
-  options.store = writer.get();
+  options.store = &stores;
   scanner::RunShardedDailyScans(net, 3, 99, options);
   ASSERT_TRUE(writer->ok()) << writer->error();
 

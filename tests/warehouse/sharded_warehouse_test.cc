@@ -35,11 +35,13 @@ Recording Record(int threads) {
   auto writer = WarehouseWriter::Create(dir, &error);
   EXPECT_NE(writer, nullptr) << error;
 
+  scanner::MultiStoreWriter stores;
+  stores.Add(&sink);
+  stores.Add(writer.get());
   scanner::ScanEngineOptions options;
   options.threads = threads;
   options.robustness.retry.max_attempts = 3;
-  options.sink = &sink;
-  options.store = writer.get();
+  options.store = &stores;
   scanner::RunShardedDailyScans(net, 3, 777, options);
   EXPECT_TRUE(writer->ok()) << writer->error();
 
