@@ -191,6 +191,8 @@ struct ScaleRow {
   double elapsed_ms = 0;     // serial scan wall time
   std::uint64_t probes = 0;
   double us_per_probe = 0;
+  std::uint64_t builds = 0;     // terminator (re)builds, serial run
+  std::uint64_t evictions = 0;  // terminators evicted over the budget
   double peak_rss_mb = 0;    // process VmHWM after this row (monotonic)
   bool deterministic = true; // only meaningful when checked
   bool checked = false;
@@ -199,7 +201,8 @@ struct ScaleRow {
 scanner::DailyScanResult RunLazyStudy(std::size_t population, int days,
                                       int threads, double& construct_ms,
                                       double& elapsed_ms,
-                                      obs::MetricsRegistry& metrics) {
+                                      obs::MetricsRegistry& metrics,
+                                      simnet::Internet::FleetStats& fleet) {
   auto start = std::chrono::steady_clock::now();
   simnet::Internet net(simnet::PaperPopulationSpec(population),
                        bench::StudySeed());
@@ -211,6 +214,7 @@ scanner::DailyScanResult RunLazyStudy(std::size_t population, int days,
   scanner::DailyScanResult result = scanner::RunShardedDailyScans(
       net, days, bench::StudySeed() + 301, options);
   elapsed_ms = MsSince(start);
+  fleet = net.Fleet();
   return result;
 }
 
@@ -219,8 +223,11 @@ ScaleRow RunScaleRow(std::size_t population, int days,
   ScaleRow row;
   row.population = population;
   obs::MetricsRegistry metrics;
+  simnet::Internet::FleetStats fleet;
   const scanner::DailyScanResult serial = RunLazyStudy(
-      population, days, 1, row.construct_ms, row.elapsed_ms, metrics);
+      population, days, 1, row.construct_ms, row.elapsed_ms, metrics, fleet);
+  row.builds = fleet.materializations;
+  row.evictions = fleet.evictions;
   for (const scanner::DayLoss& day : serial.loss) row.probes += day.scheduled;
   row.us_per_probe =
       row.probes > 0 ? row.elapsed_ms * 1000.0 / static_cast<double>(row.probes)
@@ -229,9 +236,10 @@ ScaleRow RunScaleRow(std::size_t population, int days,
     row.checked = true;
     double unused_construct = 0, unused_elapsed = 0;
     obs::MetricsRegistry parallel_metrics;
+    simnet::Internet::FleetStats unused_fleet;
     const scanner::DailyScanResult parallel =
         RunLazyStudy(population, days, 2, unused_construct, unused_elapsed,
-                     parallel_metrics);
+                     parallel_metrics, unused_fleet);
     row.deterministic =
         serial.core_domains == parallel.core_domains &&
         serial.core_ever_ticket == parallel.core_ever_ticket &&
@@ -252,19 +260,23 @@ ScaleRow RunScaleRow(std::size_t population, int days,
 
 // `bench_scan_engine --memcheck`: one lazy-fleet scan sized by
 // TLSHARM_POPULATION (default 65536), 2 days, then a single parseable
-// line. scripts/check.sh gates on the reported peak.
+// line with the fleet's terminator builds and evictions. scripts/check.sh
+// gates on the reported peak.
 int RunMemcheck() {
   const std::size_t population = simnet::DefaultPopulationSize(65536);
   double construct_ms = 0, elapsed_ms = 0;
   obs::MetricsRegistry metrics;
+  simnet::Internet::FleetStats fleet;
   std::uint64_t probes = 0;
   const scanner::DailyScanResult result = RunLazyStudy(
       population, 2, scanner::ScanThreadsFromEnv(), construct_ms, elapsed_ms,
-      metrics);
+      metrics, fleet);
   for (const scanner::DayLoss& day : result.loss) probes += day.scheduled;
-  std::printf("memcheck population=%zu probes=%llu elapsed_ms=%.0f "
-              "peak_rss_mb=%.1f\n",
+  std::printf("memcheck population=%zu probes=%llu builds=%llu "
+              "evictions=%llu elapsed_ms=%.0f peak_rss_mb=%.1f\n",
               population, static_cast<unsigned long long>(probes),
+              static_cast<unsigned long long>(fleet.materializations),
+              static_cast<unsigned long long>(fleet.evictions),
               construct_ms + elapsed_ms, bench::ReadPeakRssMb());
   return probes > 0 ? 0 : 1;
 }
@@ -338,7 +350,7 @@ int main(int argc, char** argv) {
       probes > 0 ? best_ms * 1000.0 / static_cast<double>(probes) : 0;
   const double probes_per_sec =
       best_ms > 0 ? static_cast<double>(probes) * 1000.0 / best_ms : 0;
-  char buf[64];
+  char buf[128];
   std::snprintf(buf, sizeof(buf), "%.1f us (%s)", us_per_probe,
                 serial_ms <= parallel_ms ? "serial" : "sharded");
   bench::PrintRow("us per probe (best config)", "-", buf);
@@ -381,8 +393,12 @@ int main(int argc, char** argv) {
     scale_rows.push_back(row);
     if (row.checked) scale_deterministic = scale_deterministic &&
                                            row.deterministic;
-    std::snprintf(buf, sizeof(buf), "%.1f us/probe, peak rss %.0f MB%s",
-                  row.us_per_probe, row.peak_rss_mb,
+    std::snprintf(buf, sizeof(buf),
+                  "%.1f us/probe, %llu builds, %llu evictions, "
+                  "peak rss %.0f MB%s",
+                  row.us_per_probe, static_cast<unsigned long long>(row.builds),
+                  static_cast<unsigned long long>(row.evictions),
+                  row.peak_rss_mb,
                   row.checked
                       ? (row.deterministic ? ", deterministic"
                                            : ", NON-DETERMINISTIC")
@@ -414,6 +430,8 @@ int main(int argc, char** argv) {
     report.Add(prefix + "_elapsed_ms", row.elapsed_ms);
     report.Add(prefix + "_probes", row.probes);
     report.Add(prefix + "_us_per_probe", row.us_per_probe);
+    report.Add(prefix + "_builds", row.builds);
+    report.Add(prefix + "_evictions", row.evictions);
     report.Add(prefix + "_peak_rss_mb", row.peak_rss_mb);
     if (row.checked) {
       report.AddString(prefix + "_deterministic",

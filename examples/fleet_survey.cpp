@@ -18,8 +18,9 @@
 // `tlsharm-harm` sweeps into record-now-decrypt-later harm curves.
 //
 // `--progress` prints an opt-in heartbeat to STDERR after each committed
-// day — day counter, probes/sec, wall-clock ETA — for long campaigns.
-// stdout and every artifact stay byte-identical with or without it.
+// day — day counter, probes/sec, wall-clock ETA, and the day's terminator
+// builds and evictions — for long campaigns. stdout and every artifact
+// stay byte-identical with or without it.
 //
 // TLSHARM_POPULATION / TLSHARM_DAYS resize the survey (defaults 6000 / 7);
 // TLSHARM_PROF=1 enables the wall-clock performance plane, and
@@ -58,11 +59,16 @@ int DaysFromEnv(int fallback) {
 }
 
 // The --progress heartbeat: one stderr line per committed day with a
-// wall-clock probes/sec and ETA. Wall time stays on stderr only — nothing
-// here may reach stdout or a durable artifact.
+// wall-clock probes/sec and ETA, plus how many terminators the fleet built
+// and evicted that day (a fleet over its budget shows its churn here).
+// Wall time and fleet residency stay on stderr only — nothing here may
+// reach stdout or a durable artifact.
 class ProgressMeter {
  public:
-  ProgressMeter() : start_(std::chrono::steady_clock::now()) {}
+  explicit ProgressMeter(const simnet::Internet& net)
+      : net_(net),
+        start_(std::chrono::steady_clock::now()),
+        last_(net.Fleet()) {}
 
   void Report(const scanner::ScanProgress& p) {
     const double elapsed = std::chrono::duration<double>(
@@ -75,15 +81,23 @@ class ProgressMeter {
     const int remaining = p.days - done;
     // Days are near-uniform cost, so a per-day average is a fair ETA.
     const double eta = done > 0 ? elapsed / done * remaining : 0.0;
+    const simnet::Internet::FleetStats fleet = net_.Fleet();
     std::fprintf(stderr,
                  "progress: day %d/%d  %llu probes  %.0f probes/s  "
-                 "eta %.1fs\n",
+                 "eta %.1fs  %llu builds  %llu evictions\n",
                  done, p.days,
-                 static_cast<unsigned long long>(p.total_probes), rate, eta);
+                 static_cast<unsigned long long>(p.total_probes), rate, eta,
+                 static_cast<unsigned long long>(fleet.materializations -
+                                                 last_.materializations),
+                 static_cast<unsigned long long>(fleet.evictions -
+                                                 last_.evictions));
+    last_ = fleet;
   }
 
  private:
+  const simnet::Internet& net_;
   std::chrono::steady_clock::time_point start_;
+  simnet::Internet::FleetStats last_;  // at the previous heartbeat
 };
 
 }  // namespace
@@ -113,7 +127,8 @@ int main(int argc, char** argv) {
                    "  --record          also archive every tapped connection\n"
                    "                    into <dir>/capture for tlsharm-harm\n"
                    "  --progress        per-day heartbeat (day, probes/sec,\n"
-                   "                    ETA) on stderr; artifacts unchanged\n",
+                   "                    ETA, fleet builds/evictions) on\n"
+                   "                    stderr; artifacts unchanged\n",
                    argv[0]);
       return 2;
     }
@@ -173,7 +188,7 @@ int main(int argc, char** argv) {
                    trace_path.c_str());
     }
   }
-  ProgressMeter meter;
+  ProgressMeter meter(net);
   if (progress) {
     engine.progress = [&meter](const scanner::ScanProgress& p) {
       meter.Report(p);

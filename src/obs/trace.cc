@@ -42,18 +42,6 @@ void JsonlTraceSink::Emit(const ProbeTraceEvent& event) {
   ++emitted_;
 }
 
-std::size_t ShardedTraceBuffer::Flush(TraceSink& sink) {
-  std::size_t emitted = 0;
-  for (auto& shard : shards_) {
-    for (const ProbeTraceEvent& event : shard) {
-      sink.Emit(event);
-      ++emitted;
-    }
-    shard.clear();
-  }
-  return emitted;
-}
-
 std::string TracePathFromEnv() {
   const char* env = std::getenv("TLSHARM_TRACE");
   return env == nullptr ? std::string() : std::string(env);

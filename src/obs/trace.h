@@ -7,16 +7,15 @@
 // to execute it. Shard identity, thread ids, and wall-clock times are
 // execution details that would differ across TLSHARM_THREADS values, so
 // they are deliberately unrepresentable in an event; every time field is
-// virtual. The sharded engine stages events in per-shard buffers (one
-// writer per shard, no locks) and flushes them in shard-index order, so the
-// JSONL byte stream is identical at any thread count.
+// virtual. The sharded engine keeps each probe's attempt log in the slot of
+// its canonical index and emits the slots in index order on the merge
+// thread, so the JSONL byte stream is identical at any thread count.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/sim_clock.h"
 
@@ -63,29 +62,6 @@ class JsonlTraceSink final : public TraceSink {
  private:
   std::ostream& out_;
   std::size_t emitted_ = 0;
-};
-
-// Per-shard staging for the parallel scan engine, mirroring
-// ShardedObservationBuffer: one writer per shard appends without locking;
-// Flush drains the shards in index order so the event stream reaching the
-// sink is in canonical global order.
-class ShardedTraceBuffer {
- public:
-  explicit ShardedTraceBuffer(std::size_t shards) : shards_(shards) {}
-
-  std::size_t ShardCount() const { return shards_.size(); }
-
-  // Single writer per shard; distinct shards may append concurrently.
-  void Append(std::size_t shard, const ProbeTraceEvent& event) {
-    shards_[shard].push_back(event);
-  }
-
-  // Emits every buffered event in shard order and clears the buffers.
-  // Returns the number of events emitted.
-  std::size_t Flush(TraceSink& sink);
-
- private:
-  std::vector<std::vector<ProbeTraceEvent>> shards_;
 };
 
 // The TLSHARM_TRACE environment knob: the path a tool should stream its

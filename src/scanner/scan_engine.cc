@@ -1,6 +1,7 @@
 #include "scanner/scan_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -18,6 +19,7 @@ namespace {
 // relaxed load and no static-init guard.
 const obs::ProfSite kProfDay("scan.day");
 const obs::ProfSite kProfTargets("scan.targets");
+const obs::ProfSite kProfGroup("scan.group");
 const obs::ProfSite kProfShard("scan.shard");
 const obs::ProfSite kProfProbeMain("scan.probe.main");
 const obs::ProfSite kProfProbeDhe("scan.probe.dhe");
@@ -34,12 +36,6 @@ const obs::ProfSite kProfStoreEndDay("scan.store.endday");
 const obs::ProfSite kProfStoreFinish("scan.store.finish");
 const obs::ProfSite kProfFleetCollect("scan.fleet.collect");
 
-// The pair of observations the main pass produces per target.
-struct Record {
-  HandshakeObservation main;
-  HandshakeObservation dhe;
-};
-
 // A transport-failed probe awaiting the end-of-pass requeue.
 struct PendingProbe {
   simnet::DomainId id = 0;
@@ -47,38 +43,155 @@ struct PendingProbe {
   ProbeFailure failure = ProbeFailure::kNone;
 };
 
-// Contiguous shard bounds: shard k of `shards` over n items is
-// [ShardLo(n, shards, k), ShardLo(n, shards, k + 1)).
-std::size_t ShardLo(std::size_t n, int shards, int k) {
-  return n * static_cast<std::size_t>(k) / static_cast<std::size_t>(shards);
-}
-
-// Stages one trace event per connection attempt of `probe` into the
-// shard's buffer. `seq` is the probe's canonical index within the day —
-// never the shard — so the flushed stream is thread-count independent.
-void StageTrace(obs::ShardedTraceBuffer& buffer, std::size_t shard, int day,
-                std::uint64_t seq, std::string_view pass,
-                std::string_view kind, simnet::DomainId id, SimTime scheduled,
-                const ProbeResult& probe) {
-  const std::size_t attempts = probe.attempt_log.size();
-  for (std::size_t a = 0; a < attempts; ++a) {
-    const ProbeAttempt& att = probe.attempt_log[a];
-    obs::ProbeTraceEvent event;
-    event.day = day;
-    event.seq = seq;
-    event.pass = pass;
-    event.kind = kind;
-    event.domain = id;
-    event.scheduled = scheduled;
-    event.attempt = static_cast<int>(a) + 1;
-    event.start = att.start;
-    event.duration = att.duration;
-    event.backoff = att.backoff;
-    event.failure = ToString(att.failure);
-    event.final_attempt = (a + 1 == attempts);
-    buffer.Append(shard, event);
+// The run order of one pass: its canonical indices sorted by the
+// terminator each probe connects to, ties broken by index, and cut into
+// groups, one per terminator. Workers claim whole groups from a shared
+// cursor in ascending terminator id, the direction the fleet's eviction
+// cursor walks, so each terminator's probes run back to back on one shard
+// and a fleet over its budget builds a terminator once per pass rather
+// than on every touch. Claiming, rather than cutting the order into fixed
+// shard ranges, keeps the shards balanced: terminator ids cluster by
+// operator, and so does probe cost.
+class RunOrder {
+ public:
+  template <typename EndpointOf>
+  void Build(std::size_t count, EndpointOf&& endpoint_of) {
+    // (terminator << 32 | index): a pass holds at most two probes per
+    // domain, so its indices fit the low 32 bits.
+    entries_.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      entries_[i] = (std::uint64_t{endpoint_of(i)} << 32) | i;
+    }
+    std::sort(entries_.begin(), entries_.end());
+    group_lo_.clear();
+    for (std::size_t r = 0; r < count; ++r) {
+      if (r == 0 || (entries_[r] >> 32) != (entries_[r - 1] >> 32)) {
+        group_lo_.push_back(r);
+      }
+    }
+    group_lo_.push_back(count);
+    next_.store(0, std::memory_order_relaxed);
   }
-}
+
+  std::size_t Groups() const { return group_lo_.size() - 1; }
+
+  // Claims groups until none is left, calling visit(index) for each
+  // canonical index of each claimed group, in run order. Concurrent
+  // workers may call it together; each group goes to exactly one.
+  template <typename Visit>
+  void ClaimGroups(Visit&& visit) {
+    for (std::size_t g = next_.fetch_add(1, std::memory_order_relaxed);
+         g < Groups(); g = next_.fetch_add(1, std::memory_order_relaxed)) {
+      for (std::size_t r = group_lo_[g]; r < group_lo_[g + 1]; ++r) {
+        visit(std::size_t{static_cast<std::uint32_t>(entries_[r])});
+      }
+    }
+  }
+
+ private:
+  std::vector<std::uint64_t> entries_;
+  // Group g is entries_[group_lo_[g], group_lo_[g + 1]).
+  std::vector<std::size_t> group_lo_;
+  std::atomic<std::size_t> next_{0};
+};
+
+// Where a probe sits in the day's trace stream, besides its seq.
+struct TraceKey {
+  std::string_view kind;  // "main" | "dhe"
+  simnet::DomainId domain = 0;
+  SimTime scheduled = 0;
+};
+
+// One pass's probe outputs in slots keyed by canonical index: a worker
+// fills slot j wherever probe j fell in its run order, and the merge reads
+// the slots in index order, so nothing emitted depends on which shard ran
+// a probe or when. Attempt logs and capture records are kept only while a
+// trace or capture sink is attached.
+class PassStaging {
+ public:
+  explicit PassStaging(bool keep_extras) : keep_extras_(keep_extras) {}
+
+  void Reset(std::size_t count) {
+    observations_.resize(count);
+    if (keep_extras_) extras_.resize(count);
+  }
+
+  // Distinct workers may fill distinct slots concurrently.
+  void Put(std::size_t j, ProbeResult& probe) {
+    observations_[j] = probe.observation;
+    if (keep_extras_) {
+      extras_[j].attempt_log = std::move(probe.attempt_log);
+      extras_[j].captures = std::move(probe.captures);
+    }
+  }
+
+  const HandshakeObservation& Observation(std::size_t j) const {
+    return observations_[j];
+  }
+
+  // Hands slots [0, count) to the attached sinks in index order:
+  // observations to the store, capture records to the recorder, and one
+  // trace event per attempt, where slot j is probe `first_seq + j` of the
+  // day and key(j) names it. Returns the capture records delivered.
+  template <typename Key>
+  std::uint64_t Emit(const ScanEngineOptions& options, int day,
+                     std::string_view pass, std::uint64_t first_seq,
+                     std::size_t count, Key&& key) {
+    if (options.store != nullptr) {
+      obs::ProfScope span(kProfStoreAppend);
+      for (std::size_t j = 0; j < count; ++j) {
+        options.store->Append(day, observations_[j]);
+      }
+    }
+    std::uint64_t delivered = 0;
+    if (options.capture != nullptr) {
+      obs::ProfScope span(kProfCaptureFlush);
+      for (std::size_t j = 0; j < count; ++j) {
+        // Moved out of the slot, so delivered records are freed at once.
+        const std::vector<attack::CaptureRecord> captures =
+            std::move(extras_[j].captures);
+        for (const attack::CaptureRecord& rec : captures) {
+          options.capture->Append(day, rec);
+        }
+        delivered += captures.size();
+      }
+    }
+    if (options.trace != nullptr) {
+      obs::ProfScope span(kProfTraceFlush);
+      for (std::size_t j = 0; j < count; ++j) {
+        const TraceKey probe = key(j);
+        const std::vector<ProbeAttempt>& log = extras_[j].attempt_log;
+        for (std::size_t a = 0; a < log.size(); ++a) {
+          obs::ProbeTraceEvent event;
+          event.day = day;
+          event.seq = first_seq + j;
+          event.pass = pass;
+          event.kind = probe.kind;
+          event.domain = probe.domain;
+          event.scheduled = probe.scheduled;
+          event.attempt = static_cast<int>(a) + 1;
+          event.start = log[a].start;
+          event.duration = log[a].duration;
+          event.backoff = log[a].backoff;
+          event.failure = ToString(log[a].failure);
+          event.final_attempt = (a + 1 == log.size());
+          options.trace->Emit(event);
+        }
+      }
+    }
+    return delivered;
+  }
+
+ private:
+  // What the capture and trace sinks receive beyond the observation.
+  struct Extras {
+    std::vector<ProbeAttempt> attempt_log;
+    std::vector<attack::CaptureRecord> captures;
+  };
+  const bool keep_extras_;
+  std::vector<HandshakeObservation> observations_;
+  std::vector<Extras> extras_;
+};
 
 // Runs body(0) .. body(shards - 1), one worker thread per shard. The
 // one-shard case runs inline on the calling thread — the serial path
@@ -119,8 +232,6 @@ DailyScanResult RunShardedDailyScans(simnet::Internet& net, int days,
   const bool metering = options.metrics != nullptr || hooked;
 
   const bool storing = options.store != nullptr;
-  // The adversary recorder follows the same staging discipline as the
-  // store: per-shard buffers, flushed in shard order on the merge thread.
   const bool capturing = options.capture != nullptr;
 
   // Per-shard metric registries (single-writer, no locks); merged with the
@@ -210,26 +321,37 @@ DailyScanResult RunShardedDailyScans(simnet::Internet& net, int days,
     }();
     const std::size_t n = targets.size();
 
-    // --- main pass: batched — shard, probe, flush, fold per batch --------
-    // Staging state (probe records, observation/capture/trace buffers) is
-    // sized by the batch, never the day: a million-target day peaks at
-    // O(batch_size) scan-engine memory. Batches walk the target list in
-    // canonical order and each flush drains complete batches in shard
-    // order, so the concatenated stream — and therefore every downstream
-    // byte — is identical to the unbatched engine's.
+    // --- main pass: batched — group, shard, probe, emit, fold per batch --
+    // Staging (observation slots, plus attempt logs and captures while a
+    // sink wants them) is sized by the batch, never the day: a
+    // million-target day peaks at O(batch_size) scan-engine memory.
+    // Workers probe a batch grouped by terminator but stage each probe in
+    // the slot of its canonical index, and the merge emits the slots in
+    // index order. Batches walk the target list in canonical order, so the
+    // concatenated stream — and therefore every downstream byte — is the
+    // unbatched engine's at any batch size and thread count.
+    //
+    // The run order and the staging serve the day's batches and its
+    // requeue pass, and are freed with the day: kept across days, they
+    // measurably grew the process's heap.
+    RunOrder order;
+    PassStaging staging(/*keep_extras=*/tracing || capturing);
     DayLoss day_loss;
     std::vector<PendingProbe> pending;
-    std::vector<Record> records(
-        std::min(batch, std::max<std::size_t>(n, 1)));
-    ShardedObservationBuffer staged(static_cast<std::size_t>(max_shards));
-    ShardedCaptureBuffer capture_staged(static_cast<std::size_t>(max_shards));
-    obs::ShardedTraceBuffer trace_staged(static_cast<std::size_t>(max_shards));
     std::uint64_t day_captures = 0;
     for (std::size_t lo = 0; lo < n; lo += batch) {
-      const std::size_t batch_hi = std::min(n, lo + batch);
-      const std::size_t bn = batch_hi - lo;
-      const int shards = static_cast<int>(
-          std::min<std::size_t>(static_cast<std::size_t>(max_shards), bn));
+      const std::size_t bn = std::min(n, lo + batch) - lo;
+      {
+        obs::ProfScope span(kProfGroup);
+        order.Build(bn, [&](std::size_t b) {
+          return net.EndpointFor(targets[lo + b], when);
+        });
+      }
+      const int shards = static_cast<int>(std::min<std::size_t>(
+          static_cast<std::size_t>(max_shards), order.Groups()));
+      // Slot 2b holds target b's main probe and slot 2b + 1 its DHE probe:
+      // the order the observation stream and the trace seqs follow.
+      staging.Reset(2 * bn);
       // Shard utilization accounting (performance plane only): each worker
       // times its own loop; the merge thread turns the difference against
       // the barrier wall time into per-shard merge-stall.
@@ -253,47 +375,19 @@ DailyScanResult RunShardedDailyScans(simnet::Internet& net, int days,
           {
             obs::ProfScope shard_span(kProfShard);
             Prober& prober = probers[static_cast<std::size_t>(k)];
-            const std::size_t hi = ShardLo(bn, shards, k + 1);
-            for (std::size_t b = ShardLo(bn, shards, k); b < hi; ++b) {
-              // `i` is the target's canonical index within the DAY — trace
-              // seqs must not depend on how the day was batched.
-              const std::size_t i = lo + b;
-              const simnet::DomainId id = targets[i];
-              Record& record = records[b];
+            order.ClaimGroups([&](std::size_t b) {
+              const simnet::DomainId id = targets[lo + b];
               ProbeResult main_probe = [&] {
                 obs::ProfScope span(kProfProbeMain);
                 return prober.Probe(id, when, main_options);
               }();
-              record.main = main_probe.observation;
+              staging.Put(2 * b, main_probe);
               ProbeResult dhe_probe = [&] {
                 obs::ProfScope span(kProfProbeDhe);
                 return prober.Probe(id, when + kHour, dhe_options);
               }();
-              record.dhe = dhe_probe.observation;
-              if (tracing) {
-                StageTrace(trace_staged, static_cast<std::size_t>(k), day,
-                           2 * i, "main", "main", id, when, main_probe);
-                StageTrace(trace_staged, static_cast<std::size_t>(k), day,
-                           2 * i + 1, "main", "dhe", id, when + kHour,
-                           dhe_probe);
-              }
-              if (storing) {
-                staged.Append(static_cast<std::size_t>(k), day, record.main);
-                staged.Append(static_cast<std::size_t>(k), day, record.dhe);
-              }
-              if (capturing) {
-                // Canonical capture order matches the observation stream:
-                // the main probe's attempts, then the DHE probe's.
-                for (attack::CaptureRecord& rec : main_probe.captures) {
-                  capture_staged.Append(static_cast<std::size_t>(k), day,
-                                        std::move(rec));
-                }
-                for (attack::CaptureRecord& rec : dhe_probe.captures) {
-                  capture_staged.Append(static_cast<std::size_t>(k), day,
-                                        std::move(rec));
-                }
-              }
-            }
+              staging.Put(2 * b + 1, dhe_probe);
+            });
           }
           if (prof) {
             shard_busy_ns[static_cast<std::size_t>(k)] =
@@ -310,18 +404,14 @@ DailyScanResult RunShardedDailyScans(simnet::Internet& net, int days,
                                     join_wall > busy ? join_wall - busy : 0);
         }
       }
-      if (storing) {
-        obs::ProfScope span(kProfStoreAppend);
-        staged.Flush(*options.store);
-      }
-      if (capturing) {
-        obs::ProfScope span(kProfCaptureFlush);
-        day_captures += capture_staged.Flush(*options.capture);
-      }
-      if (tracing) {
-        obs::ProfScope span(kProfTraceFlush);
-        trace_staged.Flush(*options.trace);
-      }
+      // Trace seqs are the probe's canonical index within the DAY, so they
+      // do not depend on how the day was batched.
+      day_captures += staging.Emit(
+          options, day, "main", 2 * lo, 2 * bn, [&](std::size_t j) {
+            const bool dhe = (j & 1) != 0;
+            return TraceKey{dhe ? "dhe" : "main", targets[lo + j / 2],
+                            dhe ? when + kHour : when};
+          });
 
       // --- canonical merge: aggregate + collect the requeue list ---------
       // Runs per batch on the merge thread, in day order, so the fold and
@@ -330,34 +420,38 @@ DailyScanResult RunShardedDailyScans(simnet::Internet& net, int days,
       // the day's transport failures, not its population.
       {
         obs::ProfScope merge_span(kProfMerge);
-        for (std::size_t b = 0; b < bn; ++b) {
-          const std::size_t i = lo + b;
-          day_loss.scheduled += 2;
-          agg.Fold(day, records[b].main);
-          if (IsTransportFailure(records[b].main.failure)) {
-            pending.push_back({targets[i], false, records[b].main.failure});
-          }
-          agg.Fold(day, records[b].dhe);
-          if (IsTransportFailure(records[b].dhe.failure)) {
-            pending.push_back({targets[i], true, records[b].dhe.failure});
+        day_loss.scheduled += 2 * bn;
+        for (std::size_t j = 0; j < 2 * bn; ++j) {
+          const HandshakeObservation& observation = staging.Observation(j);
+          agg.Fold(day, observation);
+          if (IsTransportFailure(observation.failure)) {
+            pending.push_back(
+                {targets[lo + j / 2], (j & 1) != 0, observation.failure});
           }
         }
       }
     }
 
     // --- requeue pass: one more scan for the transport-failed tail -------
+    // Grouped by terminator and staged by pending index like a main-pass
+    // batch; its trace seqs continue after the day's 2n main-pass probes.
     const std::size_t pending_count = pending.size();
-    std::vector<HandshakeObservation> requeued(pending_count);
-    if (options.robustness.requeue_failures && pending_count > 0) {
+    const bool requeueing =
+        options.robustness.requeue_failures && pending_count > 0;
+    if (requeueing) {
       const SimTime again = when + options.robustness.requeue_delay;
+      const auto at = [again](const PendingProbe& p) {
+        return p.dhe ? again + kHour : again;
+      };
+      {
+        obs::ProfScope span(kProfGroup);
+        order.Build(pending_count, [&](std::size_t i) {
+          return net.EndpointFor(pending[i].id, at(pending[i]));
+        });
+      }
+      staging.Reset(pending_count);
       const int requeue_shards = static_cast<int>(std::min<std::size_t>(
-          static_cast<std::size_t>(max_shards), pending_count));
-      ShardedObservationBuffer requeue_staged(
-          static_cast<std::size_t>(requeue_shards));
-      ShardedCaptureBuffer requeue_captures(
-          static_cast<std::size_t>(requeue_shards));
-      obs::ShardedTraceBuffer requeue_trace(
-          static_cast<std::size_t>(requeue_shards));
+          static_cast<std::size_t>(max_shards), order.Groups()));
       {
         obs::ProfScope join_span(kProfJoinRequeue);
         RunSharded(requeue_shards, [&](int k) {
@@ -368,49 +462,22 @@ DailyScanResult RunShardedDailyScans(simnet::Internet& net, int days,
           }
           obs::ProfScope shard_span(kProfShard);
           Prober& prober = probers[static_cast<std::size_t>(k)];
-          const std::size_t hi =
-              ShardLo(pending_count, requeue_shards, k + 1);
-          for (std::size_t i = ShardLo(pending_count, requeue_shards, k);
-               i < hi; ++i) {
+          order.ClaimGroups([&](std::size_t i) {
             const PendingProbe& p = pending[i];
-            const SimTime at = p.dhe ? again + kHour : again;
             ProbeResult probe = [&] {
               obs::ProfScope span(kProfProbeRequeue);
-              return prober.Probe(p.id, at,
+              return prober.Probe(p.id, at(p),
                                   p.dhe ? dhe_options : main_options);
             }();
-            requeued[i] = probe.observation;
-            if (tracing) {
-              // Requeue seqs continue after the day's 2n main-pass probes.
-              StageTrace(requeue_trace, static_cast<std::size_t>(k), day,
-                         2 * n + i, "requeue", p.dhe ? "dhe" : "main", p.id,
-                         at, probe);
-            }
-            if (storing) {
-              requeue_staged.Append(static_cast<std::size_t>(k), day,
-                                    requeued[i]);
-            }
-            if (capturing) {
-              for (attack::CaptureRecord& rec : probe.captures) {
-                requeue_captures.Append(static_cast<std::size_t>(k), day,
-                                        std::move(rec));
-              }
-            }
-          }
+            staging.Put(i, probe);
+          });
         });
       }
-      if (storing) {
-        obs::ProfScope span(kProfStoreAppend);
-        requeue_staged.Flush(*options.store);
-      }
-      if (capturing) {
-        obs::ProfScope span(kProfCaptureFlush);
-        day_captures += requeue_captures.Flush(*options.capture);
-      }
-      if (tracing) {
-        obs::ProfScope span(kProfTraceFlush);
-        requeue_trace.Flush(*options.trace);
-      }
+      day_captures += staging.Emit(
+          options, day, "requeue", 2 * n, pending_count, [&](std::size_t i) {
+            const PendingProbe& p = pending[i];
+            return TraceKey{p.dhe ? "dhe" : "main", p.id, at(p)};
+          });
     }
     // The day's last observation has been appended: let streaming backends
     // flush (the warehouse closes the day's columnar segment here).
@@ -426,9 +493,9 @@ DailyScanResult RunShardedDailyScans(simnet::Internet& net, int days,
     }
     for (std::size_t i = 0; i < pending_count; ++i) {
       ProbeFailure failure = pending[i].failure;
-      if (options.robustness.requeue_failures) {
-        agg.Fold(day, requeued[i]);
-        failure = requeued[i].failure;
+      if (requeueing) {
+        agg.Fold(day, staging.Observation(i));
+        failure = staging.Observation(i).failure;
       }
       if (IsTransportFailure(failure)) {
         ++day_loss.lost;

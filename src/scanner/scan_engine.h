@@ -2,13 +2,17 @@
 // nine-week scanning campaign.
 //
 // Each day's target list (canonical = permuted order, see schedule.h) is
-// partitioned into contiguous shards, one worker thread per shard. Every
-// worker owns a Prober seeded identically to the serial scanner's: probe
-// outcomes are pure functions of (seed, domain, time, options), so WHICH
-// worker runs a probe never changes what it observes. Workers stage their
-// observations in per-shard buffers; after the join, the engine merges the
-// shards back in canonical order before anything reaches the store or the
-// aggregates. The output contract:
+// scanned in batches. A batch RUNS grouped by terminator: its canonical
+// indices are sorted by the terminator Internet::EndpointFor picks (ties by
+// index), and worker threads claim whole terminator groups from a shared
+// cursor, so a fleet over its budget builds a terminator once per batch
+// rather than on every touch. Every worker owns a Prober seeded
+// identically to the serial scanner's: probe outcomes are pure functions
+// of (seed, domain, time, options), so neither WHICH worker runs a probe
+// nor WHEN changes what it observes. Workers stage each probe's outputs in
+// the slot of its canonical index; after the join, the merge thread emits
+// the slots in index order before anything reaches the store, the capture
+// recorder, the trace or the aggregates. The output contract:
 //
 //   For a fixed (world, days, seed, robustness), the DailyScanResult and
 //   every byte written to the store are identical for ANY thread count.
@@ -21,8 +25,9 @@
 //   * server-side randomness is derived per connection from the
 //     ClientHello, and STEK/KEX state is selected by virtual time, not by
 //     arrival order (server/);
-//   * the merge step re-serializes shard results in permutation-index
-//     order, so buffering hides any real-time interleaving.
+//   * the merge step reads the index-keyed slots in permutation-index
+//     order, so staging hides both the run order and any real-time
+//     interleaving.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "attack/record.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "scanner/aggregates.h"
@@ -93,11 +99,13 @@ struct ScanEngineOptions {
   // Worker shards per day. 1 = inline serial (no threads spawned).
   int threads = 1;
   // Main-pass batch size: the day's target list is processed in contiguous
-  // batches of this many targets, each sharded, probed, flushed and folded
-  // before the next begins. Staging memory is therefore O(batch_size), not
-  // O(targets) — what lets a million-domain day run in bounded RAM. The
+  // batches of this many targets, each grouped by terminator, sharded,
+  // probed, emitted and folded before the next begins. Staging memory is
+  // therefore O(batch_size), not O(targets) — what lets a million-domain
+  // day run in bounded RAM. Grouping works within a batch, so a smaller
+  // batch means more terminator rebuilds on a fleet over its budget. The
   // canonical output stream is unaffected: batches are consumed in
-  // permutation order and flushed batch-by-batch in shard order, which
+  // permutation order and each is emitted in index order, which
   // concatenates to exactly the unbatched stream, so every artifact is
   // byte-identical for ANY batch size (and any thread count).
   std::size_t batch_size = 65536;

@@ -157,50 +157,4 @@ std::vector<StoredObservation> ParseObservations(const std::string& data,
   return out;
 }
 
-void ShardedObservationBuffer::Append(std::size_t shard, int day,
-                                      const HandshakeObservation& obs) {
-  shards_[shard].push_back(StoredObservation{day, obs});
-}
-
-std::size_t ShardedObservationBuffer::Flush(StoreWriter& writer) {
-  std::size_t written = 0;
-  for (auto& shard : shards_) {
-    for (const StoredObservation& stored : shard) {
-      writer.Append(stored.day, stored.observation);
-      ++written;
-    }
-    shard.clear();
-  }
-  return written;
-}
-
-std::size_t ShardedObservationBuffer::Buffered() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard.size();
-  return total;
-}
-
-void ShardedCaptureBuffer::Append(std::size_t shard, int day,
-                                  attack::CaptureRecord record) {
-  shards_[shard].push_back(StagedCapture{day, std::move(record)});
-}
-
-std::size_t ShardedCaptureBuffer::Flush(attack::CaptureSink& sink) {
-  std::size_t delivered = 0;
-  for (auto& shard : shards_) {
-    for (const StagedCapture& staged : shard) {
-      sink.Append(staged.day, staged.record);
-      ++delivered;
-    }
-    shard.clear();
-  }
-  return delivered;
-}
-
-std::size_t ShardedCaptureBuffer::Buffered() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard.size();
-  return total;
-}
-
 }  // namespace tlsharm::scanner

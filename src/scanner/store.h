@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "attack/record.h"
 #include "scanner/observation.h"
 
 namespace tlsharm::scanner {
@@ -121,61 +120,5 @@ std::vector<StoredObservation> ParseObservations(const std::string& data);
 // records (they land in the `store.corrupt` metric / scanstats report).
 std::vector<StoredObservation> ParseObservations(const std::string& data,
                                                  std::size_t* corrupt);
-
-// Per-shard observation staging for the parallel scan engine. Each worker
-// appends to its own shard (no locking — one writer per shard); Flush
-// drains the shards in index order, so when shards are contiguous slices
-// of the canonical target list, the flushed stream is in canonical global
-// order no matter how the workers interleaved.
-class ShardedObservationBuffer {
- public:
-  explicit ShardedObservationBuffer(std::size_t shards) : shards_(shards) {}
-
-  std::size_t ShardCount() const { return shards_.size(); }
-
-  // Appends one observation to `shard`. Callers guarantee a single writer
-  // per shard; distinct shards may append concurrently.
-  void Append(std::size_t shard, int day, const HandshakeObservation& obs);
-
-  // Writes every buffered observation in shard order and clears the
-  // buffers. Returns the number of observations written.
-  std::size_t Flush(StoreWriter& writer);
-
-  // Observations currently staged across all shards.
-  std::size_t Buffered() const;
-
- private:
-  std::vector<std::vector<StoredObservation>> shards_;
-};
-
-// Per-shard staging for adversary capture records, the tape-side twin of
-// ShardedObservationBuffer: one writer per shard, Flush drains shards in
-// index order into an attack::CaptureSink, so the tape sees the canonical
-// permutation order at any thread count.
-class ShardedCaptureBuffer {
- public:
-  explicit ShardedCaptureBuffer(std::size_t shards) : shards_(shards) {}
-
-  std::size_t ShardCount() const { return shards_.size(); }
-
-  // Appends one record to `shard` (single writer per shard; distinct
-  // shards may append concurrently). Takes the record by value so workers
-  // can move the probe's recordings in without a copy.
-  void Append(std::size_t shard, int day, attack::CaptureRecord record);
-
-  // Streams every staged record into `sink` in shard order and clears the
-  // buffers. Returns the number of records delivered.
-  std::size_t Flush(attack::CaptureSink& sink);
-
-  // Records currently staged across all shards.
-  std::size_t Buffered() const;
-
- private:
-  struct StagedCapture {
-    int day = 0;
-    attack::CaptureRecord record;
-  };
-  std::vector<std::vector<StagedCapture>> shards_;
-};
 
 }  // namespace tlsharm::scanner

@@ -1,5 +1,5 @@
-// Probe-trace formatting and the sharded staging buffer: fixed key order,
-// JSON-escaped strings, integer-only values, canonical flush order.
+// Probe-trace formatting: fixed key order, JSON-escaped strings,
+// integer-only values.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
@@ -77,31 +77,6 @@ TEST(JsonlSinkTest, EmitsOneLinePerEventAndCounts) {
   const std::string text = out.str();
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
   EXPECT_EQ(text.front(), '{');
-}
-
-TEST(ShardedTraceBufferTest, FlushDrainsInShardOrderAndClears) {
-  ShardedTraceBuffer buffer(3);
-  ProbeTraceEvent a = SampleEvent();
-  a.seq = 100;
-  ProbeTraceEvent b = SampleEvent();
-  b.seq = 200;
-  ProbeTraceEvent c = SampleEvent();
-  c.seq = 300;
-  // Append out of shard order: flush must still emit shard 0 first.
-  buffer.Append(2, c);
-  buffer.Append(0, a);
-  buffer.Append(1, b);
-
-  std::ostringstream out;
-  JsonlTraceSink sink(out);
-  EXPECT_EQ(buffer.Flush(sink), 3u);
-  const std::string text = out.str();
-  EXPECT_LT(text.find("\"seq\":100"), text.find("\"seq\":200"));
-  EXPECT_LT(text.find("\"seq\":200"), text.find("\"seq\":300"));
-
-  // Flushed buffers are empty; a second flush emits nothing.
-  EXPECT_EQ(buffer.Flush(sink), 0u);
-  EXPECT_EQ(sink.Emitted(), 3u);
 }
 
 TEST(EnvKnobTest, TracePathFromEnv) {

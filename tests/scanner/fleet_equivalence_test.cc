@@ -4,8 +4,13 @@
 // resident once built, at any thread count and any main-pass batch size,
 // with fault injection exercising the outage/requeue paths.
 //
+// The engine probes each batch grouped by terminator, which is what keeps
+// a bounded fleet from rebuilding terminators on every touch;
+// BuildsEachTerminatorAtMostOncePerDay pins that down as an exact bound.
+//
 // Artifacts compared against the unbounded 1-thread baseline:
 //   * the canonical text observation stream (every byte),
+//   * the JSONL probe trace (every byte),
 //   * the columnar warehouse (manifest CRC + row/byte counts — the
 //     manifest indexes every segment's size and CRC-32),
 //   * the adversary capture tape (same manifest-level identity),
@@ -16,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -38,6 +44,7 @@ const std::size_t kDefaultBatch = ScanEngineOptions{}.batch_size;
 
 struct StudyArtifacts {
   std::string observations;
+  std::string trace;
   std::uint32_t warehouse_manifest_crc = 0;
   std::uint64_t warehouse_rows = 0;
   std::uint64_t warehouse_bytes = 0;
@@ -72,6 +79,8 @@ StudyArtifacts RunStudy(std::size_t budget_mb, int threads,
 
   std::ostringstream stream;
   ObservationWriter sink(stream);
+  std::ostringstream trace_stream;
+  obs::JsonlTraceSink trace(trace_stream);
   obs::MetricsRegistry metrics;
 
   MultiStoreWriter stores;
@@ -84,6 +93,7 @@ StudyArtifacts RunStudy(std::size_t budget_mb, int threads,
   options.store = &stores;
   options.capture = capture.get();
   options.metrics = &metrics;
+  options.trace = &trace;
 
   StudyArtifacts out;
   out.result = RunShardedDailyScans(net, kDays, kScanSeed, options);
@@ -94,6 +104,7 @@ StudyArtifacts RunStudy(std::size_t budget_mb, int threads,
         << tag << ": the bounded fleet never evicted";
   }
   out.observations = stream.str();
+  out.trace = trace_stream.str();
   EXPECT_TRUE(warehouse->ok()) << warehouse->error();
   EXPECT_TRUE(capture->ok()) << capture->error();
   out.warehouse_manifest_crc = warehouse->ManifestCrc();
@@ -114,6 +125,7 @@ void ExpectSameArtifacts(const StudyArtifacts& got,
                          const std::string& label) {
   EXPECT_EQ(got.observations, want.observations)
       << label << ": text observation stream diverged";
+  EXPECT_EQ(got.trace, want.trace) << label << ": probe trace diverged";
   EXPECT_EQ(got.warehouse_manifest_crc, want.warehouse_manifest_crc)
       << label << ": warehouse manifest CRC diverged";
   EXPECT_EQ(got.warehouse_rows, want.warehouse_rows) << label;
@@ -155,6 +167,7 @@ TEST(FleetEquivalenceTest, LazyFleetMatchesMaterializedByteForByte) {
 
   // The study must actually exercise the interesting paths.
   ASSERT_FALSE(baseline.observations.empty());
+  ASSERT_FALSE(baseline.trace.empty());
   ASSERT_EQ(baseline.result.loss.size(), static_cast<std::size_t>(kDays));
   ASSERT_GT(baseline.result.loss[0].recovered + baseline.result.loss[0].lost,
             0u)
@@ -185,6 +198,37 @@ TEST(FleetEquivalenceTest, BatchSizeNeverChangesArtifacts) {
                       "batch=97");
   ExpectSameArtifacts(RunStudy(kBoundedMb, 2, 1, "batch_1"), baseline,
                       "batch=1");
+}
+
+// A single-threaded scan probes each terminator's targets back to back, so
+// a fleet far over its budget still builds each terminator at most once a
+// day: the bound is the number of distinct terminators each day's probes
+// connect to, summed over days. Faults stay off because retries and the
+// requeue pass connect at other times, which the bound does not count.
+TEST(FleetEquivalenceTest, BuildsEachTerminatorAtMostOncePerDay) {
+  simnet::PopulationSpec spec = simnet::PaperPopulationSpec(kPopulation);
+  spec.fleet_budget_mb = kBoundedMb;
+  simnet::Internet net(spec, kWorldSeed);
+  ScanEngineOptions options;
+  options.robustness.retry.max_attempts = 2;
+  RunShardedDailyScans(net, kDays, kScanSeed, options);
+
+  std::uint64_t bound = 0;
+  for (int day = 0; day < kDays; ++day) {
+    const SimTime when = ScanDayStart(day);
+    std::set<simnet::TerminatorId> hit;
+    for (const simnet::DomainId id :
+         CollectScanTargets(net, day, kScanSeed, nullptr,
+                            /*https_only=*/true)) {
+      hit.insert(net.EndpointFor(id, when));
+      hit.insert(net.EndpointFor(id, when + kHour));
+    }
+    bound += hit.size();
+  }
+  const simnet::Internet::FleetStats fleet = net.Fleet();
+  EXPECT_GT(fleet.evictions, 0u) << "the bounded fleet never evicted";
+  EXPECT_LE(fleet.materializations, bound)
+      << "a terminator was rebuilt within a day";
 }
 
 }  // namespace

@@ -3,9 +3,6 @@
 // garbage must parse into exactly the checked-in canonical serialization —
 // and the canonical form must be a fixpoint of parse -> re-serialize, so
 // stored studies keep round-tripping as the format evolves.
-//
-// Also exercises ShardedObservationBuffer, the staging structure the
-// parallel scan engine drains into the store in canonical shard order.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -63,55 +60,6 @@ TEST(ObservationStoreGoldenTest, CanonicalFormIsAFixpoint) {
   const std::string once = SerializeObservations(ParseObservations(canonical));
   EXPECT_EQ(once, canonical);
   EXPECT_EQ(SerializeObservations(ParseObservations(once)), once);
-}
-
-TEST(ShardedObservationBufferTest, FlushDrainsInShardOrder) {
-  ShardedObservationBuffer buffer(3);
-  ASSERT_EQ(buffer.ShardCount(), 3u);
-  auto make = [](DomainIndex domain) {
-    HandshakeObservation obs;
-    obs.domain = domain;
-    obs.connected = true;
-    return obs;
-  };
-  // Append out of shard order — arrival order must not matter.
-  buffer.Append(2, 0, make(20));
-  buffer.Append(0, 0, make(1));
-  buffer.Append(1, 0, make(10));
-  buffer.Append(0, 0, make(2));
-  buffer.Append(2, 0, make(21));
-  EXPECT_EQ(buffer.Buffered(), 5u);
-
-  std::ostringstream stream;
-  ObservationWriter writer(stream);
-  EXPECT_EQ(buffer.Flush(writer), 5u);
-  EXPECT_EQ(buffer.Buffered(), 0u);
-
-  const auto drained = ParseObservations(stream.str());
-  ASSERT_EQ(drained.size(), 5u);
-  const DomainIndex expected[] = {1, 2, 10, 20, 21};
-  for (std::size_t i = 0; i < drained.size(); ++i) {
-    EXPECT_EQ(drained[i].observation.domain, expected[i]) << "position " << i;
-  }
-}
-
-TEST(ShardedObservationBufferTest, FlushedBufferIsReusable) {
-  ShardedObservationBuffer buffer(2);
-  HandshakeObservation obs;
-  obs.domain = 7;
-  buffer.Append(1, 3, obs);
-
-  std::ostringstream first;
-  ObservationWriter first_writer(first);
-  buffer.Flush(first_writer);
-
-  buffer.Append(0, 4, obs);
-  std::ostringstream second;
-  ObservationWriter second_writer(second);
-  EXPECT_EQ(buffer.Flush(second_writer), 1u);
-  const auto drained = ParseObservations(second.str());
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0].day, 4);
 }
 
 }  // namespace
