@@ -3,7 +3,7 @@
 // scanning. All three modes print identical numbers — record mode derives
 // its aggregates from the bytes it just wrote (not from the engine's
 // in-memory result), and fold-vs-engine parity is gated separately by
-// tests/warehouse and `tlsharm-import --selftest`.
+// tests/warehouse (ImportTest, ScanFoldTest).
 //
 // Mode notes go to stderr so stdout stays diffable against the live path.
 #pragma once

@@ -7,7 +7,7 @@
 //
 // With `--campaign <dir>` the week runs as a crash-safe campaign: every
 // scanned day is journaled and committed durably into <dir> (RUNLOG,
-// warehouse/, state files); `tlsharm-import to-text <dir>/warehouse`
+// warehouse/, state files); `tlsharm import to-text <dir>/warehouse`
 // exports the observations as text. If the process dies mid-study,
 // `--campaign <dir> --resume` restores the committed days from disk and
 // scans only the remainder — the report and the on-disk artifacts come out
@@ -15,7 +15,7 @@
 //
 // `--record` (campaign mode) additionally streams every tapped connection
 // into the day-partitioned capture tape at <dir>/capture — the archive
-// `tlsharm-harm` sweeps into record-now-decrypt-later harm curves.
+// `tlsharm harm` sweeps into record-now-decrypt-later harm curves.
 //
 // `--progress` prints an opt-in heartbeat to STDERR after each committed
 // day — day counter, probes/sec, wall-clock ETA, and the day's terminator
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
                    "  --resume          continue the campaign in <dir> from\n"
                    "                    its last committed day\n"
                    "  --record          also archive every tapped connection\n"
-                   "                    into <dir>/capture for tlsharm-harm\n"
+                   "                    into <dir>/capture for tlsharm harm\n"
                    "  --progress        per-day heartbeat (day, probes/sec,\n"
                    "                    ETA, fleet builds/evictions) on\n"
                    "                    stderr; artifacts unchanged\n",
@@ -249,9 +249,9 @@ int main(int argc, char** argv) {
                   campaign_dir.c_str());
     }
     if (record) {
-      std::printf("capture tape: %s/capture (sweep it with tlsharm-harm "
-                  "curve %s %llu)\n",
-                  campaign_dir.c_str(), campaign_dir.c_str(),
+      std::printf("capture tape: %s/capture (sweep it with "
+                  "TLSHARM_POPULATION=%zu tlsharm harm curve %s %llu)\n",
+                  campaign_dir.c_str(), kPopulation, campaign_dir.c_str(),
                   static_cast<unsigned long long>(kWorldSeed));
     }
   } else {

@@ -31,26 +31,18 @@ run_config() {
   fi
 }
 
+# The plain ctest pass carries the observability, warehouse and adversary
+# contracts: telemetry bytes identical at 1/2/8 threads with the snapshot
+# and trace schema round-tripping (TelemetryDeterminismTest), warehouse
+# bytes, text export and fold (ShardedWarehouseTest, ImportTest,
+# ScanFoldTest), the query layer (QueryTest), and the harm sweep against
+# ground truth (HarmEngineTest).
 run_config "plain" "${repo}/build"
+tlsharm="${repo}/build/examples/tlsharm"
 
-# Observability gate: a short instrumented scan through scanstats. Fails on
-# any telemetry-schema or determinism drift — the metrics snapshot, probe
-# trace and observation store must be byte-identical at 1/2/8 threads, and
-# the snapshot must round-trip through its own parser byte-for-byte.
-echo "== observability: scanstats --selftest =="
-"${repo}/build/examples/scanstats" --selftest
-
-# Warehouse gate: the columnar store must be byte-identical at 1/2/8
-# threads, round-trip its text export exactly, and reproduce the engine's
-# aggregates through the incremental fold (tlsharm-import); the query layer
-# must count/group deterministically (obsq); and a figure bench recorded
-# into a warehouse and replayed from it must print the same numbers as the
-# live scan (the world-build timing line is the only nondeterminism).
-echo "== warehouse: tlsharm-import --selftest =="
-"${repo}/build/examples/tlsharm-import" --selftest
-echo "== warehouse: obsq --selftest =="
-"${repo}/build/examples/obsq" --selftest
-
+# Warehouse gate: a figure bench recorded into a warehouse and replayed
+# from it must print the same numbers as the live scan (the world-build
+# timing line is the only nondeterminism).
 echo "== warehouse: figure-bench record/replay parity =="
 whdir="$(mktemp -d)"
 trap 'rm -rf "${whdir}"' EXIT
@@ -69,17 +61,15 @@ echo "record and replay match the live scan"
 
 # Performance-plane gate (obs/prof.h). Three properties:
 #   1. Isolation — profiling must never leak into the deterministic plane:
-#      scanstats --selftest already cross-checks metrics/trace/store bytes
-#      prof-on vs prof-off at 1 and 8 threads; running the whole selftest
-#      under TLSHARM_PROF=1 additionally proves the env-seeded path, and a
-#      campaign run with profiling + the progress heartbeat must produce a
+#      TelemetryDeterminismTest.ProfilingNeverChangesArtifacts cross-checks
+#      metrics/trace/store bytes prof-on vs prof-off at 1 and 8 threads
+#      (here and under TSan below), and a campaign run under TLSHARM_PROF=1
+#      (the env-seeded path) with the progress heartbeat must produce a
 #      byte-identical campaign directory.
-#   2. The tooling works — tlsharm-prof profiles a campaign, writes a
+#   2. The tooling works — `tlsharm prof` profiles a campaign, writes a
 #      Chrome trace, and reloads that trace file.
 #   3. Overhead budget — bench_prof's projected whole-scan cost of the
 #      disabled-path span checks: warn past 1%, fail past 5%.
-echo "== performance plane: scanstats --selftest under TLSHARM_PROF=1 =="
-TLSHARM_PROF=1 "${repo}/build/examples/scanstats" --selftest
 echo "== performance plane: campaign artifacts identical prof on/off =="
 TLSHARM_POPULATION=1200 TLSHARM_DAYS=2 "${repo}/build/examples/fleet_survey" \
   --campaign "${whdir}/camp-plain" > /dev/null
@@ -89,12 +79,12 @@ TLSHARM_POPULATION=1200 TLSHARM_DAYS=2 TLSHARM_PROF=1 \
 diff -r "${whdir}/camp-plain" "${whdir}/camp-prof"
 grep -q "progress: day" "${whdir}/heartbeat.txt"
 echo "campaign directories are byte-identical; progress heartbeat seen"
-echo "== performance plane: tlsharm-prof smoke (campaign + trace reload) =="
+echo "== performance plane: tlsharm prof smoke (campaign + trace reload) =="
 TLSHARM_POPULATION=1200 TLSHARM_DAYS=2 TLSHARM_PROF_TRACE="${whdir}/trace.json" \
-  "${repo}/build/examples/tlsharm-prof" --campaign "${whdir}/camp-smoke" \
+  "${tlsharm}" prof --campaign "${whdir}/camp-smoke" \
   > "${whdir}/prof-report.txt"
 grep -q "attributed to named spans" "${whdir}/prof-report.txt"
-"${repo}/build/examples/tlsharm-prof" "${whdir}/trace.json" > /dev/null
+"${tlsharm}" prof "${whdir}/trace.json" > /dev/null
 echo "== performance plane: disabled-path overhead budget =="
 (cd "${whdir}" && TLSHARM_POPULATION=4000 TLSHARM_DAYS=2 TLSHARM_BENCH_REPS=1 \
   "${repo}/build/bench/bench_prof")
@@ -116,10 +106,9 @@ fi
 # re-import the text, and require the rebuilt MANIFEST and every
 # observation segment to match the campaign's byte for byte.
 echo "== warehouse: campaign text export re-imports byte-identically =="
-import_bin="${repo}/build/examples/tlsharm-import"
-"${import_bin}" verify "${whdir}/camp-plain/warehouse"
-"${import_bin}" to-text "${whdir}/camp-plain/warehouse" "${whdir}/camp.txt"
-"${import_bin}" to-warehouse "${whdir}/camp.txt" "${whdir}/camp-reimport"
+"${tlsharm}" import verify "${whdir}/camp-plain/warehouse"
+"${tlsharm}" import to-text "${whdir}/camp-plain/warehouse" "${whdir}/camp.txt"
+"${tlsharm}" import to-warehouse "${whdir}/camp.txt" "${whdir}/camp-reimport"
 cmp "${whdir}/camp-plain/warehouse/MANIFEST" "${whdir}/camp-reimport/MANIFEST"
 for seg in "${whdir}/camp-plain/warehouse"/obs-*.seg; do
   cmp "${seg}" "${whdir}/camp-reimport/$(basename "${seg}")"
@@ -133,9 +122,8 @@ echo "campaign warehouse -> text -> warehouse is the identity"
 # bench_crypto's built-in differential harness cross-check each path pair
 # (including a probe-loop observation digest).
 echo "== perf-correctness: reference vs optimized crypto =="
-TLSHARM_REFERENCE_CRYPTO=1 "${repo}/build/examples/scanstats" \
-  > "${whdir}/stats-ref.txt"
-"${repo}/build/examples/scanstats" > "${whdir}/stats-opt.txt"
+TLSHARM_REFERENCE_CRYPTO=1 "${tlsharm}" stats > "${whdir}/stats-ref.txt"
+"${tlsharm}" stats > "${whdir}/stats-opt.txt"
 diff <(grep -v "built in" "${whdir}/stats-ref.txt") \
      <(grep -v "built in" "${whdir}/stats-opt.txt")
 echo "reference and optimized crypto produce identical scan telemetry"
@@ -168,16 +156,49 @@ else
   echo "journal overhead ${overhead}% is within the 2% budget"
 fi
 
-# Adversary-plane gate. tlsharm-harm --selftest proves the record-now-
-# decrypt-later pipeline end to end: capture archive byte-identical at
-# 1/2/8 threads, harm curves identical live vs tape-replayed, the survivor
-# taxonomy partitioning every curve point, the archive-derived sweep equal
-# to a ground-truth snapshot replay at end of study, and the curve spans
-# consistent with the analysis/vuln window estimates. bench_harm then
-# checks the recorder's cost: warn past the 5% budget (timing noise on
-# shared machines), fail past 15% (something structural regressed).
-echo "== adversary plane: tlsharm-harm --selftest =="
-"${repo}/build/examples/tlsharm-harm" --selftest
+# Adversary-plane gate. HarmEngineTest (plain ctest above) proves the
+# record-now-decrypt-later sweep: curves identical at 1/2/8 scan threads
+# and through the tape codec, the survivor taxonomy partitioning every
+# curve point, the STEK and DH sweeps equal to a ground-truth snapshot
+# replay at end of study, and the curve spans consistent with the scan's
+# secret-span estimates. This step drives the front end over a recorded
+# campaign: `harm curve` and `harm explain` on the recording world, a
+# refusal on any other world, strict numeric arguments, and the query
+# modes on the same campaign's warehouse. bench_harm then checks the
+# recorder's cost: warn past the 5% budget (timing noise on shared
+# machines), fail past 15% (something structural regressed).
+echo "== adversary plane: tlsharm harm + query on a recorded campaign =="
+TLSHARM_POPULATION=1200 TLSHARM_DAYS=2 "${repo}/build/examples/fleet_survey" \
+  --campaign "${whdir}/camp-rec" --record > /dev/null
+TLSHARM_POPULATION=1200 "${tlsharm}" harm curve "${whdir}/camp-rec" 424242 \
+  > "${whdir}/curve.jsonl" 2>/dev/null
+test -s "${whdir}/curve.jsonl"
+TLSHARM_POPULATION=1200 "${tlsharm}" harm explain netflix.com 1 \
+  "${whdir}/camp-rec" 424242 > "${whdir}/explain.txt"
+grep -q "^capture t=" "${whdir}/explain.txt"
+if TLSHARM_POPULATION=100 "${tlsharm}" harm curve "${whdir}/camp-rec" 424242 \
+     > /dev/null 2>&1; then
+  echo "FAIL: harm curve accepted a tape recorded on another world"
+  exit 1
+fi
+status=0
+TLSHARM_POPULATION=1200 "${tlsharm}" harm explain netflix.com one \
+  "${whdir}/camp-rec" 424242 > /dev/null 2>&1 || status=$?
+if [[ "${status}" -ne 2 ]]; then
+  echo "FAIL: a non-numeric day exited ${status}, not 2 (usage)"
+  exit 1
+fi
+rec_wh="${whdir}/camp-rec/warehouse"
+"${tlsharm}" query summary "${rec_wh}" > "${whdir}/summary.txt"
+"${tlsharm}" query group-by day "${rec_wh}" > /dev/null
+"${tlsharm}" query spans "${rec_wh}" > /dev/null
+observations="$(sed -n 's/^  observations: //p' "${whdir}/summary.txt")"
+counted="$("${tlsharm}" query count "${rec_wh}")"
+if [[ -z "${observations}" || "${counted}" != "${observations}" ]]; then
+  echo "FAIL: query count ${counted} != summary's ${observations} observations"
+  exit 1
+fi
+echo "harm curve/explain, world refusal, usage exit and queries behave"
 echo "== adversary plane: capture-overhead budget =="
 (cd "${whdir}" && TLSHARM_POPULATION=4000 TLSHARM_DAYS=3 TLSHARM_BENCH_REPS=1 \
   "${repo}/build/bench/bench_harm")
@@ -231,16 +252,13 @@ echo "== memory-bounded fleet: equivalence battery (ASan + UBSan) =="
 ctest --test-dir "${repo}/build-asan" --output-on-failure -R 'FleetEquivalence'
 echo "== sanitized: bench_crypto --selftest (ASan + UBSan) =="
 "${repo}/build-asan/bench/bench_crypto" --selftest
-echo "== sanitized: tlsharm-harm --selftest (ASan + UBSan) =="
-"${repo}/build-asan/examples/tlsharm-harm" --selftest
+# The Telemetry cases include ProfilingNeverChangesArtifacts: the profiling
+# span path (thread-local buffers, registry mutex, the relaxed enable flag)
+# under TSan, driven by a real sharded scan at 8 threads.
 run_config "tsan" "${repo}/build-tsan" \
   --filter 'CryptoVectors|Differential|ParallelDeterminism|FleetEquivalence|Sharded|Telemetry|Prof' \
   -DTLSHARM_SANITIZE=thread
 echo "== tsan: bench_crypto --selftest =="
 "${repo}/build-tsan/bench/bench_crypto" --selftest
-# The profiling span path (thread-local buffers, registry mutex, the
-# relaxed enable flag) under TSan, driven by a real sharded scan.
-echo "== tsan: scanstats --selftest under TLSHARM_PROF=1 =="
-TLSHARM_PROF=1 "${repo}/build-tsan/examples/scanstats" --selftest
 
 echo "All checks passed (plain + observability + warehouse + performance-plane + perf-correctness + crash-recovery + adversary-plane + sanitized + tsan)."

@@ -23,8 +23,8 @@
 // WHY traffic survived, not just how much. Candidate T values are the
 // archive's distinct capture times; at times where every fleet endpoint
 // was captured (the daily main pass), the sweep agrees exactly with a
-// ground-truth TakeSnapshot + ReplaySnapshot pass — the engine's selftest
-// cross-checks this.
+// ground-truth TakeSnapshot + ReplaySnapshot pass — HarmEngineTest
+// cross-checks this for the STEK and DH vectors.
 //
 // Everything here is deterministic: rows fold in canonical archive order,
 // all grouping containers are ordered, and the JSONL rendering is integer

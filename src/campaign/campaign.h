@@ -7,7 +7,7 @@
 //   RUNLOG             write-ahead journal: config digest + per-day
 //                      started/committed records with artifact digests
 //   warehouse/         columnar observation store (the only one; its text
-//                      export is `tlsharm-import to-text`) + per-day fold
+//                      export is `tlsharm import to-text`) + per-day fold
 //                      checkpoints
 //   capture/           adversary capture tape (record_captures only)
 //   state-<day>.bin    campaign state at the last committed day: the scan

@@ -5,7 +5,8 @@
 // This is deliberately not a general JSON library: the snapshot format is
 // produced by RenderSnapshot (metrics.h) with sorted keys and no floats, so
 // a recursive-descent parser over that subset round-trips it exactly. That
-// exactness is what lets scanstats verify schema drift byte-for-byte.
+// exactness is what lets the telemetry tests verify schema drift
+// byte-for-byte.
 #pragma once
 
 #include <cstdint>

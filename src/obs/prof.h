@@ -18,8 +18,10 @@
 //     API for reading a single span back on the hot path — data only leaves
 //     through ProfSnapshotNow()/ProfWriteChromeTrace(), which tools call
 //     after the deterministic artifacts are sealed.
-//   * scripts/check.sh proves the isolation: every deterministic artifact
-//     is byte-identical with profiling on vs off at 1/2/8 threads.
+//   * TelemetryDeterminismTest.ProfilingNeverChangesArtifacts proves the
+//     isolation (metrics, trace and store bytes identical with profiling
+//     on vs off at 1 and 8 threads, also under TSan), and scripts/check.sh
+//     diffs a whole campaign directory recorded both ways.
 //
 // Concurrency model: every recording write goes to a thread-local buffer
 // (one writer, no locks on the span path). Buffers are registered with a

@@ -1,6 +1,6 @@
 // Offline side of the wall-clock performance plane: quantile estimation
 // over prof.h's log-bucketed histograms, the aggregated text report behind
-// `tlsharm-prof` / `scanstats --prof`, the hotspot JSON committed into
+// `tlsharm prof` / `tlsharm stats --prof`, the hotspot JSON committed into
 // BENCH_prof.json, and a loader that folds a Chrome trace file back into a
 // ProfSnapshot so the summarizer works on trace files from past runs.
 //
@@ -39,7 +39,7 @@ double ProfAttributedPct(const ProfSnapshot& snap);
 // metadata) and folds the events back into per-span aggregates,
 // reconstructing self-time by re-nesting each tid's intervals. Returns
 // false with a message in `error` on malformed input. Used by
-// `tlsharm-prof <trace.json>`.
+// `tlsharm prof <trace.json>`.
 bool LoadChromeTrace(std::string_view json, ProfSnapshot* out,
                      std::string* error);
 

@@ -26,7 +26,7 @@ std::string FormatTraceEvent(const ProbeTraceEvent& event) {
   AppendJsonString(out, event.failure);
   // 0/1 instead of JSON booleans: every trace value stays inside the
   // integer-only subset obs::ParseJson accepts, so tooling can reparse its
-  // own output (the scanstats schema gate relies on this).
+  // own output (TelemetryDeterminismTest's schema check relies on this).
   out += ",\"final\":";
   out += event.final_attempt ? '1' : '0';
   if (event.resumed >= 0) {

@@ -52,7 +52,7 @@ class ScanAggregates {
   bool DecodeState(ByteView in, std::size_t& off);
 
   // Direct access to the folded span trackers, for reports that need the
-  // distributions without the core-domain accounting (obsq spans).
+  // distributions without the core-domain accounting (`tlsharm query spans`).
   const analysis::SpanTracker& StekSpans() const { return stek_spans_; }
   const analysis::SpanTracker& EcdheSpans() const { return ecdhe_spans_; }
   const analysis::SpanTracker& DheSpans() const { return dhe_spans_; }

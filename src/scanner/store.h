@@ -2,7 +2,7 @@
 // record format and reloads them, mirroring the paper's publication of its
 // raw scan data on scans.io (§3). Campaigns record into the columnar
 // warehouse; this text format is its export and interchange view
-// (`tlsharm-import to-text` / `to-warehouse`, warehouse/import.h).
+// (`tlsharm import to-text` / `to-warehouse`, warehouse/import.h).
 //
 // Format (one observation per line, '|'-separated ASCII):
 //   day|domain|flags|suite|kex_group|kex_value|session_id|stek_id|hint|failure
@@ -117,7 +117,7 @@ std::string SerializeObservations(
 std::vector<StoredObservation> ParseObservations(const std::string& data);
 // As above, but also reports the number of malformed lines that were
 // skipped, so loaders can surface corruption instead of silently dropping
-// records (they land in the `store.corrupt` metric / scanstats report).
+// records (they land in the `store.corrupt` metric / `tlsharm stats` report).
 std::vector<StoredObservation> ParseObservations(const std::string& data,
                                                  std::size_t* corrupt);
 

@@ -1,5 +1,5 @@
 // Filtered counting and grouping over warehoused observations — the
-// engine behind the `obsq` CLI. Filters compose conjunctively; group-by
+// engine behind `tlsharm query`. Filters compose conjunctively; group-by
 // output is sorted by key so every report is byte-stable regardless of
 // segment layout or standard library.
 #pragma once

@@ -1,13 +1,17 @@
-// The harm-curve sweep: partition invariants, canonical JSONL, segment
-// round-trip identity, an independent brute-force recount of the cache
-// sweep, and the end-of-study snapshot cross-check.
+// The harm-curve sweep: partition invariants, canonical JSONL at any scan
+// thread count, segment round-trip identity, an independent brute-force
+// recount of the cache sweep, the end-of-study snapshot cross-checks for
+// the STEK and DH vectors, and the curves' consistency with the scan-side
+// secret-span estimate.
 #include "adversary/replay.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -22,24 +26,28 @@
 namespace tlsharm::adversary {
 namespace {
 
+// Four days, not three: the shortest fleet-shared ECDHE reuse TTL in this
+// world is edgecast's two days, and ShortReuseTtlLeavesKexMismatchSurvivors
+// needs a TTL strictly shorter than the first-to-last scan distance.
 constexpr std::size_t kPopulation = 150;
-constexpr int kDays = 3;
+constexpr int kDays = 4;
 constexpr std::uint64_t kWorldSeed = 91;
 constexpr std::uint64_t kScanSeed = 17;
 
 struct SweepFixture {
   std::unique_ptr<simnet::Internet> net;
   attack::CaptureBufferSink captures;
+  scanner::DailyScanResult result;
   std::unique_ptr<HarmEngine> engine;
   std::vector<HarmCurve> curves;
 
-  SweepFixture() {
+  explicit SweepFixture(int threads) {
     net = std::make_unique<simnet::Internet>(
         simnet::PaperPopulationSpec(kPopulation), kWorldSeed);
     scanner::ScanEngineOptions options;
-    options.threads = 2;
+    options.threads = threads;
     options.capture = &captures;
-    scanner::RunShardedDailyScans(*net, kDays, kScanSeed, options);
+    result = scanner::RunShardedDailyScans(*net, kDays, kScanSeed, options);
     engine = std::make_unique<HarmEngine>(*net);
     for (std::size_t i = 0; i < captures.Records().size(); ++i) {
       engine->Ingest(captures.Days()[i], captures.Records()[i]);
@@ -50,7 +58,7 @@ struct SweepFixture {
 };
 
 SweepFixture& Fixture() {
-  static SweepFixture* fixture = new SweepFixture;
+  static SweepFixture* fixture = new SweepFixture(2);
   return *fixture;
 }
 
@@ -58,6 +66,128 @@ std::uint64_t SurvivorTotal(const HarmPoint& point) {
   std::uint64_t total = 0;
   for (const std::uint64_t n : point.survivors) total += n;
   return total;
+}
+
+const std::string& OperatorOf(const simnet::Internet& net,
+                              std::uint32_t domain) {
+  return net.DomainOperator(static_cast<simnet::DomainId>(domain));
+}
+
+// The curve's point at compromise time `t`, by value: the curve may be a
+// temporary.
+std::optional<HarmPoint> PointAt(const HarmCurve& curve, SimTime t) {
+  for (const HarmPoint& point : curve.points) {
+    if (point.t == t) return point;
+  }
+  return std::nullopt;
+}
+
+// Ground truth: steal the profile's secret at spec.at and replay every one
+// of its archived connections through the real decryptors.
+std::uint64_t SnapshotDecryptCount(
+    simnet::Internet& net, const CompromiseSpec& spec,
+    const std::vector<attack::CaptureRecord>& records) {
+  const CompromisedSecrets secrets = TakeSnapshot(net, spec);
+  std::uint64_t count = 0;
+  for (const attack::CaptureRecord& rec : records) {
+    if (OperatorOf(net, rec.domain) == spec.profile &&
+        ReplaySnapshot(secrets, rec).ok) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+// Profiles whose whole fleet shares one secret store (`store_of` maps an
+// endpoint to it), every endpoint passes `config_ok`, and some valid
+// capture at `t` carries the secret (`carries`) — the conditions under
+// which the archive sweep must equal a ground-truth snapshot replay at `t`
+// exactly. Ordered biggest fleet first (ties by name), so a real fleet
+// operator comes before a single-box domain.
+std::vector<std::string> SharedSecretProfiles(
+    SweepFixture& fx, SimTime t,
+    const std::function<const void*(simnet::TerminatorId)>& store_of,
+    const std::function<bool(const server::ServerConfig&)>& config_ok,
+    const std::function<bool(const attack::CaptureRecord&)>& carries) {
+  std::map<std::string, std::set<simnet::TerminatorId>> fleets;
+  for (std::size_t d = 0; d < fx.net->DomainCount(); ++d) {
+    const simnet::DomainInfo& info =
+        fx.net->GetDomain(static_cast<simnet::DomainId>(d));
+    fleets[info.operator_name].insert(info.endpoints.begin(),
+                                      info.endpoints.end());
+  }
+  std::set<std::string> captured_at_t;
+  for (const attack::CaptureRecord& rec : fx.captures.Records()) {
+    if (rec.time == t && rec.valid && carries(rec)) {
+      captured_at_t.insert(OperatorOf(*fx.net, rec.domain));
+    }
+  }
+  std::vector<std::pair<std::size_t, std::string>> eligible;
+  for (const auto& [name, endpoints] : fleets) {
+    if (endpoints.empty() || captured_at_t.count(name) == 0) continue;
+    std::set<const void*> stores;
+    bool configs_ok = true;
+    for (const simnet::TerminatorId e : endpoints) {
+      configs_ok = configs_ok && config_ok(fx.net->TerminatorConfigOf(e));
+      stores.insert(store_of(e));
+    }
+    if (configs_ok && stores.size() == 1) {
+      eligible.emplace_back(endpoints.size(), name);
+    }
+  }
+  std::sort(eligible.begin(), eligible.end(),
+            [](const auto& a, const auto& b) {
+              return a.first != b.first ? a.first > b.first
+                                        : a.second < b.second;
+            });
+  std::vector<std::string> names;
+  for (const auto& [size, name] : eligible) names.push_back(name);
+  return names;
+}
+
+std::vector<std::string> SharedStekProfiles(
+    SweepFixture& fx, SimTime t,
+    const std::function<bool(const server::ServerConfig&)>& config_ok) {
+  return SharedSecretProfiles(
+      fx, t,
+      [&fx](simnet::TerminatorId e) -> const void* {
+        return &fx.net->SteksOf(e);
+      },
+      config_ok,
+      [](const attack::CaptureRecord& rec) { return !rec.ticket.empty(); });
+}
+
+std::vector<std::string> SharedKexProfiles(SweepFixture& fx, SimTime t) {
+  return SharedSecretProfiles(
+      fx, t,
+      [&fx](simnet::TerminatorId e) -> const void* {
+        return &fx.net->KexOf(e);
+      },
+      [](const server::ServerConfig& config) {
+        return config.ecdhe_reuse.reuse;
+      },
+      [](const attack::CaptureRecord& rec) {
+        return !rec.server_kex.empty();
+      });
+}
+
+// The scan's secret-lifetime estimate for a profile: its domains' longest
+// observed span, in days.
+int MaxSpanOf(const analysis::SpanTracker& spans, const simnet::Internet& net,
+              const std::string& profile) {
+  int best = 0;
+  for (std::size_t d = 0; d < net.DomainCount(); ++d) {
+    if (OperatorOf(net, static_cast<std::uint32_t>(d)) != profile) continue;
+    best = std::max(best,
+                    spans.MaxSpanDays(static_cast<scanner::DomainIndex>(d)));
+  }
+  return best;
+}
+
+// Decryptable-age span of a curve point, in whole study days.
+int PointSpanDays(const HarmPoint& point) {
+  if (point.oldest_decrypted < 0) return 0;
+  return static_cast<int>(point.t / kDay - point.oldest_decrypted / kDay) + 1;
 }
 
 TEST(HarmEngineTest, EveryPointPartitionsTheArchive) {
@@ -82,6 +212,19 @@ TEST(HarmEngineTest, EveryPointPartitionsTheArchive) {
         EXPECT_LE(point.oldest_decrypted, point.t + kDay * kDays);
       }
     }
+  }
+}
+
+TEST(HarmEngineTest, JsonlIsThreadCountIndependent) {
+  const std::string jsonl = RenderHarmCurvesJsonl(Fixture().curves);
+  ASSERT_FALSE(jsonl.empty());
+  for (const int threads : {1, 8}) {
+    const SweepFixture other(threads);
+    EXPECT_EQ(other.captures.Records(), Fixture().captures.Records())
+        << threads << " threads";
+    EXPECT_EQ(other.captures.Days(), Fixture().captures.Days());
+    EXPECT_EQ(RenderHarmCurvesJsonl(other.curves), jsonl)
+        << "harm curves diverged at " << threads << " threads";
   }
 }
 
@@ -259,51 +402,120 @@ TEST(HarmEngineTest, StekSweepMatchesEndOfStudySnapshot) {
   // STEK manager with a ticketed capture at exactly t_end. (A fleet whose
   // endpoint was last seen before an unobserved rotation legitimately
   // diverges — the adversary cannot know a key it never saw evidence of.)
-  std::set<std::string> eligible;
-  {
-    std::map<std::string, std::set<const void*>> managers;
-    std::map<std::string, bool> ticketed_at_end;
-    for (std::size_t d = 0; d < fx.net->DomainCount(); ++d) {
-      const simnet::DomainInfo& info =
-          fx.net->GetDomain(static_cast<simnet::DomainId>(d));
-      for (const simnet::TerminatorId e : info.endpoints) {
-        managers[info.operator_name].insert(&fx.net->SteksOf(e));
-      }
-    }
-    for (const attack::CaptureRecord& rec : fx.captures.Records()) {
-      if (rec.valid && !rec.ticket.empty() && rec.time == t_end) {
-        ticketed_at_end
-            [fx.net->GetDomain(static_cast<simnet::DomainId>(rec.domain))
-                 .operator_name] = true;
-      }
-    }
-    for (const auto& [name, set] : managers) {
-      if (set.size() == 1 && ticketed_at_end[name]) eligible.insert(name);
-    }
-  }
+  const std::vector<std::string> eligible = SharedStekProfiles(
+      fx, t_end, [](const server::ServerConfig&) { return true; });
   ASSERT_FALSE(eligible.empty());
   std::size_t checked = 0;
   for (const std::string& profile : eligible) {
-    const HarmCurve curve =
-        fx.engine->SweepProfileVector(profile, CompromiseVector::kStek);
-    const auto it = std::find_if(
-        curve.points.begin(), curve.points.end(),
-        [t_end](const HarmPoint& p) { return p.t == t_end; });
-    ASSERT_NE(it, curve.points.end());
-    const CompromisedSecrets secrets =
-        TakeSnapshot(*fx.net, {CompromiseVector::kStek, profile, t_end});
-    std::uint64_t replayed = 0;
-    for (const attack::CaptureRecord& rec : fx.captures.Records()) {
-      if (fx.net->GetDomain(static_cast<simnet::DomainId>(rec.domain))
-              .operator_name != profile) {
-        continue;
-      }
-      if (ReplaySnapshot(secrets, rec).ok) ++replayed;
-    }
-    EXPECT_EQ(it->decryptable, replayed) << profile;
-    if (replayed > 0) ++checked;
+    const std::optional<HarmPoint> point = PointAt(
+        fx.engine->SweepProfileVector(profile, CompromiseVector::kStek), t_end);
+    ASSERT_TRUE(point.has_value()) << profile;
+    const std::uint64_t truth =
+        SnapshotDecryptCount(*fx.net, {CompromiseVector::kStek, profile, t_end},
+                             fx.captures.Records());
+    EXPECT_EQ(point->decryptable, truth) << profile;
+    if (truth > 0) ++checked;
   }
   EXPECT_GT(checked, 0u) << "no profile decrypted anything at end of study";
+}
+
+TEST(HarmEngineTest, DhSweepMatchesEndOfStudySnapshot) {
+  SweepFixture& fx = Fixture();
+  const SimTime t_end = scanner::ScanDayStart(kDays - 1);
+  // The mirror of the STEK check: for every fleet that shares one KEX
+  // cache, reuses its ECDHE values and was captured at exactly t_end, the
+  // sweep equals a TakeSnapshot + ReplaySnapshot pass.
+  const std::vector<std::string> eligible = SharedKexProfiles(fx, t_end);
+  ASSERT_FALSE(eligible.empty());
+  std::size_t checked = 0;
+  for (const std::string& profile : eligible) {
+    const std::optional<HarmPoint> point = PointAt(
+        fx.engine->SweepProfileVector(profile, CompromiseVector::kDh), t_end);
+    ASSERT_TRUE(point.has_value()) << profile;
+    const std::uint64_t truth = SnapshotDecryptCount(
+        *fx.net, {CompromiseVector::kDh, profile, t_end},
+        fx.captures.Records());
+    EXPECT_EQ(point->decryptable, truth) << profile;
+    if (truth > 0) ++checked;
+  }
+  EXPECT_GT(checked, 0u) << "no DH profile decrypted anything at end of study";
+}
+
+// Interval rotation retires keys during the study, so the biggest shared
+// interval-rotation STEK fleet must show both sides at end of study:
+// traffic a stolen key decrypts and traffic it cannot (wrong_stek). Its
+// curve must also agree with the scan's STEK-span estimate to within a day.
+TEST(HarmEngineTest, IntervalRotationLeavesWrongStekSurvivors) {
+  SweepFixture& fx = Fixture();
+  const SimTime t_end = scanner::ScanDayStart(kDays - 1);
+  const std::vector<std::string> eligible = SharedStekProfiles(
+      fx, t_end, [](const server::ServerConfig& config) {
+        return config.tickets.enabled &&
+               config.stek.rotation == server::StekRotation::kInterval;
+      });
+  ASSERT_FALSE(eligible.empty())
+      << "no shared interval-rotation STEK fleet in the archive";
+  const std::string& profile = eligible.front();
+  const std::uint64_t truth =
+      SnapshotDecryptCount(*fx.net, {CompromiseVector::kStek, profile, t_end},
+                           fx.captures.Records());
+  ASSERT_GT(truth, 0u) << profile;
+  const std::optional<HarmPoint> point = PointAt(
+      fx.engine->SweepProfileVector(profile, CompromiseVector::kStek), t_end);
+  ASSERT_TRUE(point.has_value());
+  EXPECT_EQ(point->decryptable, truth) << profile;
+  EXPECT_GT(point->survivors[static_cast<int>(
+                attack::DecryptFailureClass::kWrongStek)],
+            0u)
+      << profile;
+  const int span = PointSpanDays(*point);
+  EXPECT_GE(span, 1) << profile;
+  EXPECT_LE(span, MaxSpanOf(fx.result.stek_spans, *fx.net, profile) + 1)
+      << profile;
+}
+
+// A fleet-shared ECDHE value regenerated more often than the study lasts:
+// at end of study the stolen cache holds only the latest value, so older
+// captures survive as kex_mismatch. Its curve must also agree with the
+// scan's ECDHE-span estimate to within a day.
+TEST(HarmEngineTest, ShortReuseTtlLeavesKexMismatchSurvivors) {
+  SweepFixture& fx = Fixture();
+  const SimTime t_end = scanner::ScanDayStart(kDays - 1);
+  // One shared cache, so the whole fleet runs one reuse policy.
+  const auto ttl_of = [&fx](const std::string& name) -> SimTime {
+    for (const attack::CaptureRecord& rec : fx.captures.Records()) {
+      if (OperatorOf(*fx.net, rec.domain) == name) {
+        return fx.net->TerminatorConfigOf(rec.endpoint).ecdhe_reuse.ttl;
+      }
+    }
+    return 0;
+  };
+  std::string profile;
+  for (const std::string& name : SharedKexProfiles(fx, t_end)) {
+    const SimTime ttl = ttl_of(name);
+    if (ttl > 0 && ttl < (kDays - 1) * kDay) {
+      profile = name;
+      break;
+    }
+  }
+  ASSERT_FALSE(profile.empty())
+      << "no shared ECDHE-reuse fleet regenerates within the study";
+  const std::uint64_t truth =
+      SnapshotDecryptCount(*fx.net, {CompromiseVector::kDh, profile, t_end},
+                           fx.captures.Records());
+  ASSERT_GT(truth, 0u) << profile;
+  const std::optional<HarmPoint> point = PointAt(
+      fx.engine->SweepProfileVector(profile, CompromiseVector::kDh), t_end);
+  ASSERT_TRUE(point.has_value());
+  EXPECT_EQ(point->decryptable, truth) << profile;
+  EXPECT_GT(point->survivors[static_cast<int>(
+                attack::DecryptFailureClass::kKexMismatch)],
+            0u)
+      << profile;
+  const int span = PointSpanDays(*point);
+  EXPECT_GE(span, 1) << profile;
+  EXPECT_LE(span, MaxSpanOf(fx.result.ecdhe_spans, *fx.net, profile) + 1)
+      << profile;
 }
 
 }  // namespace

@@ -8,7 +8,9 @@
 // The plane's global state (thread buffers, track names) is process-wide
 // and survives ProfReset by design, so GoldenChromeTrace must run before
 // any test that registers extra thread tracks; tests in this file are
-// ordered accordingly (gtest runs them in registration order).
+// ordered accordingly (gtest runs them in registration order), and
+// obs_tests links this file first, ahead of the profiled scans in
+// telemetry_determinism_test.cc.
 #include "obs/prof.h"
 
 #include <gtest/gtest.h>
@@ -191,7 +193,7 @@ TEST_F(ProfTest, ShardStallAccounting) {
   EXPECT_EQ(snap.tracks[0].stall_ns, 300u);
 }
 
-// tlsharm-prof's offline mode: the Chrome trace file folds back into the
+// `tlsharm prof`'s offline mode: the Chrome trace file folds back into the
 // same aggregates the live snapshot held, self-time reconstructed by
 // re-nesting each tid's intervals.
 TEST_F(ProfTest, LoadChromeTraceRoundTrips) {

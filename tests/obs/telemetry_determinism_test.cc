@@ -1,14 +1,18 @@
 // The observability layer's end-to-end contract against the sharded scan
 // engine: for a fixed fault-injected world, the merged metrics snapshot and
-// the probe-trace byte stream are identical at any thread count — and
-// attaching telemetry never changes a byte of the scan's own output.
+// the probe-trace byte stream are identical at any thread count, the
+// snapshot round-trips through its own parser and every trace line through
+// the JSON parser — and neither attaching telemetry nor enabling the
+// wall-clock profiling plane changes a byte of the scan's own output.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
 
 #include "obs/fleet.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/prof.h"
 #include "obs/trace.h"
 #include "scanner/scan_engine.h"
 
@@ -57,6 +61,29 @@ TEST(TelemetryDeterminismTest, SnapshotAndTraceIdenticalAtAnyThreadCount) {
   obs::MetricsSnapshot snapshot;
   ASSERT_TRUE(obs::ParseSnapshot(serial.metrics_json, snapshot));
   ASSERT_GT(snapshot.counters.at("probe.probes"), 0u);
+  EXPECT_EQ(obs::RenderSnapshot(snapshot), serial.metrics_json)
+      << "the snapshot must round-trip byte-for-byte";
+
+  // Every trace line is a JSON object with the full attempt schema, and
+  // there is exactly one line per recorded connection attempt.
+  static const char* kRequired[] = {"day",     "seq",     "pass",
+                                    "kind",    "domain",  "scheduled",
+                                    "attempt", "start",   "dur",
+                                    "backoff", "failure", "final"};
+  std::istringstream lines(serial.trace);
+  std::string line;
+  std::uint64_t line_count = 0;
+  while (std::getline(lines, line)) {
+    ++line_count;
+    obs::JsonValue value;
+    ASSERT_TRUE(obs::ParseJson(line, value)) << "trace line " << line_count;
+    ASSERT_EQ(value.kind, obs::JsonValue::Kind::kObject) << line;
+    for (const char* key : kRequired) {
+      ASSERT_NE(value.Find(key), nullptr)
+          << "trace line " << line_count << " lacks \"" << key << "\"";
+    }
+  }
+  EXPECT_EQ(line_count, snapshot.counters.at("probe.attempts"));
 
   for (const int threads : {2, 8}) {
     const TelemetryOutput parallel = RunInstrumentedStudy(threads, true);
@@ -65,6 +92,34 @@ TEST(TelemetryDeterminismTest, SnapshotAndTraceIdenticalAtAnyThreadCount) {
     EXPECT_EQ(parallel.trace, serial.trace)
         << "probe trace diverged at " << threads << " threads";
     EXPECT_EQ(parallel.observations, serial.observations);
+  }
+}
+
+// The two-plane isolation contract: with the wall-clock profiling plane
+// recording (per-shard tracks at 8 threads), every deterministic artifact
+// is still byte-identical to the profiling-off run. Runs under TSan in
+// scripts/check.sh, which drives the span path's thread-local buffers and
+// registry from a real sharded scan.
+TEST(TelemetryDeterminismTest, ProfilingNeverChangesArtifacts) {
+  obs::SetProfilingEnabled(false);
+  const TelemetryOutput base = RunInstrumentedStudy(1, true);
+  ASSERT_FALSE(base.trace.empty());
+  struct ProfilingOff {
+    ~ProfilingOff() { obs::SetProfilingEnabled(false); }
+  } restore;
+  obs::SetProfilingEnabled(true);
+  for (const int threads : {1, 8}) {
+    obs::ProfReset();
+    const TelemetryOutput profiled = RunInstrumentedStudy(threads, true);
+    EXPECT_EQ(profiled.metrics_json, base.metrics_json)
+        << "profiling changed the metrics at " << threads << " threads";
+    EXPECT_EQ(profiled.trace, base.trace)
+        << "profiling changed the trace at " << threads << " threads";
+    EXPECT_EQ(profiled.observations, base.observations)
+        << "profiling changed the store at " << threads << " threads";
+    const obs::ProfSnapshot snap = obs::ProfSnapshotNow();
+    EXPECT_FALSE(snap.spans.empty()) << threads << " threads";
+    EXPECT_GT(snap.root_total_ns, 0u) << threads << " threads";
   }
 }
 

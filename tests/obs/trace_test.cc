@@ -31,7 +31,7 @@ ProbeTraceEvent SampleEvent() {
 
 TEST(TraceFormatTest, GoldenLineLocksSchemaAndKeyOrder) {
   // Any change to this string is a trace-schema change; update the docs and
-  // the scanstats schema gate along with it.
+  // TelemetryDeterminismTest's schema check along with it.
   EXPECT_EQ(FormatTraceEvent(SampleEvent()),
             "{\"day\":2,\"seq\":41,\"pass\":\"requeue\",\"kind\":\"dhe\","
             "\"domain\":7,\"scheduled\":187200,\"attempt\":3,"

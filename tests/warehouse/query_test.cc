@@ -97,6 +97,7 @@ TEST_F(QueryTest, UnfilteredCountSeesEverything) {
   std::string error;
   ASSERT_TRUE(CountObservations(*warehouse_, {}, &count, &error)) << error;
   EXPECT_EQ(count, 6u);
+  EXPECT_EQ(count, warehouse_->TotalRows());
 }
 
 TEST_F(QueryTest, FiltersCompose) {
@@ -107,6 +108,13 @@ TEST_F(QueryTest, FiltersCompose) {
   by_domain.domain = 1;
   ASSERT_TRUE(CountObservations(*warehouse_, by_domain, &count, &error));
   EXPECT_EQ(count, 2u);
+
+  // A day-range filter prunes day 0's segment unread and loses nothing:
+  // days 1 and 2 hold 2 + 1 rows.
+  ObsFilter from_day_one;
+  from_day_one.day_min = 1;
+  ASSERT_TRUE(CountObservations(*warehouse_, from_day_one, &count, &error));
+  EXPECT_EQ(count, 3u);
 
   ObsFilter by_day_and_domain = by_domain;
   by_day_and_domain.day_min = 1;
@@ -149,6 +157,12 @@ TEST_F(QueryTest, GroupByDayIsSortedAndComplete) {
   EXPECT_EQ(groups[1].count, 2u);
   EXPECT_EQ(groups[2].key, 2u);
   EXPECT_EQ(groups[2].count, 1u);
+  // Each day group is exactly its segment's row count.
+  ASSERT_EQ(warehouse_->ObservationSegments().size(), groups.size());
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    EXPECT_EQ(groups[i].count, warehouse_->ObservationSegments()[i].rows)
+        << "day " << groups[i].key;
+  }
 }
 
 TEST_F(QueryTest, GroupByFailureCountsClasses) {
