@@ -22,7 +22,8 @@
 // builds and evictions — for long campaigns. stdout and every artifact
 // stay byte-identical with or without it.
 //
-// TLSHARM_POPULATION / TLSHARM_DAYS resize the survey (defaults 6000 / 7);
+// TLSHARM_POPULATION / TLSHARM_DAYS resize the survey (defaults 6000 / 7;
+// a TLSHARM_DAYS that is not a whole number in 1..63 exits 2);
 // TLSHARM_PROF=1 enables the wall-clock performance plane, and
 // TLSHARM_PROF_TRACE=<path> additionally writes a Chrome trace-event JSON
 // there at exit (load it in Perfetto; one track per worker shard).
@@ -41,22 +42,12 @@
 #include "obs/trace.h"
 #include "scanner/scan_engine.h"
 #include "simnet/internet.h"
+#include "study_days.h"
 #include "util/table.h"
 
 using namespace tlsharm;
 
 namespace {
-
-// Env-sized survey: TLSHARM_POPULATION (>= 100) and TLSHARM_DAYS (1..63)
-// override the defaults so a 2-day profiling campaign or a large soak run
-// doesn't need a recompile.
-int DaysFromEnv(int fallback) {
-  if (const char* env = std::getenv("TLSHARM_DAYS")) {
-    const int parsed = std::atoi(env);
-    if (parsed >= 1 && parsed <= 63) return parsed;
-  }
-  return fallback;
-}
 
 // The --progress heartbeat: one stderr line per committed day with a
 // wall-clock probes/sec and ETA, plus how many terminators the fleet built
@@ -141,12 +132,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--record requires --campaign <dir>\n");
     return 2;
   }
+  const int days = examples::StudyDaysFromEnv(7);
+  if (days < 0) return 2;
 
   std::printf("== fleet_survey: one-week HTTPS crypto-shortcut survey ==\n");
   constexpr std::uint64_t kWorldSeed = 424242;
   const std::size_t kPopulation = simnet::DefaultPopulationSize(6000);
   simnet::Internet net(simnet::PaperPopulationSpec(kPopulation), kWorldSeed);
-  const int days = DaysFromEnv(7);
   std::printf("population: %zu domains, %zu terminators\n",
               net.DomainCount(), net.TerminatorCount());
 

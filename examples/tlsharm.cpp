@@ -58,12 +58,13 @@
 //   tlsharm prof --scan | --campaign <dir>
 //       Profiles a small live scan, or a crash-safe campaign into <dir>
 //       (whose report adds the commit-barrier spans). TLSHARM_POPULATION /
-//       TLSHARM_DAYS / TLSHARM_THREADS size the run; TLSHARM_PROF_TRACE
-//       also writes its Chrome trace. Profiling never changes an artifact.
+//       TLSHARM_DAYS / TLSHARM_THREADS size the run (a TLSHARM_DAYS that is
+//       not a whole number in 1..63 exits 2); TLSHARM_PROF_TRACE also
+//       writes its Chrome trace. Profiling never changes an artifact.
 //
 // Every numeric argument (day, seed, domain, filter value) must be a
 // non-negative base-10 integer, the whole argument; anything else prints
-// the usage and exits 2.
+// the usage and exits 2, as does an argument a subcommand does not know.
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
@@ -90,6 +91,7 @@
 #include "obs/trace.h"
 #include "scanner/scan_engine.h"
 #include "simnet/internet.h"
+#include "study_days.h"
 #include "util/table.h"
 #include "warehouse/capture.h"
 #include "warehouse/fold.h"
@@ -402,9 +404,12 @@ int StatsMain(int argc, char** argv) {
   bool prof = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--warehouse") == 0 && i + 1 < argc) {
-      warehouse_dir = argv[i + 1];
+      warehouse_dir = argv[++i];
+    } else if (std::strcmp(argv[i], "--prof") == 0) {
+      prof = true;
+    } else {
+      return Usage();
     }
-    if (std::strcmp(argv[i], "--prof") == 0) prof = true;
   }
   if (prof) {
     obs::SetProfilingEnabled(true);
@@ -936,14 +941,6 @@ int HarmMain(int argc, char** argv) {
 constexpr std::uint64_t kProfWorldSeed = 424242;
 constexpr std::uint64_t kProfScanSeed = 1;
 
-int DaysFromEnv() {
-  if (const char* env = std::getenv("TLSHARM_DAYS")) {
-    const int parsed = std::atoi(env);
-    if (parsed >= 1 && parsed <= 63) return parsed;
-  }
-  return 2;
-}
-
 void PrintProfSnapshot() {
   std::printf("%s", obs::RenderProfReport(obs::ProfSnapshotNow()).c_str());
   const std::string trace_path = obs::ProfTracePathFromEnv();
@@ -975,7 +972,8 @@ int SummarizeTraceFile(const std::string& path) {
 
 int RunProfiledScan() {
   const std::size_t population = simnet::DefaultPopulationSize(2000);
-  const int days = DaysFromEnv();
+  const int days = examples::StudyDaysFromEnv(2);
+  if (days < 0) return 2;
   const int threads = scanner::ScanThreadsFromEnv();
   std::printf("== tlsharm prof --scan: %zu domains, %d day(s), %d "
               "thread(s) ==\n\n", population, days, threads);
@@ -993,7 +991,8 @@ int RunProfiledScan() {
 
 int RunProfiledCampaign(const std::string& dir) {
   const std::size_t population = simnet::DefaultPopulationSize(2000);
-  const int days = DaysFromEnv();
+  const int days = examples::StudyDaysFromEnv(2);
+  if (days < 0) return 2;
   const int threads = scanner::ScanThreadsFromEnv();
   std::printf("== tlsharm prof --campaign: %zu domains, %d day(s), %d "
               "thread(s) into %s ==\n\n", population, days, threads,

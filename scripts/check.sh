@@ -188,6 +188,31 @@ if [[ "${status}" -ne 2 ]]; then
   echo "FAIL: a non-numeric day exited ${status}, not 2 (usage)"
   exit 1
 fi
+# An argument `tlsharm stats` does not know, or a dangling --warehouse,
+# prints the usage (exit 2) before any study runs or directory is written;
+# so does a TLSHARM_DAYS that is not a whole number in 1..63.
+status=0
+"${tlsharm}" stats --warehuose "${whdir}/stats-typo" > /dev/null 2>&1 \
+  || status=$?
+if [[ "${status}" -ne 2 || -e "${whdir}/stats-typo" ]]; then
+  echo "FAIL: a misspelled stats option exited ${status}, not 2 (usage)," \
+       "or wrote its directory"
+  exit 1
+fi
+status=0
+"${tlsharm}" stats --warehouse > /dev/null 2>&1 || status=$?
+if [[ "${status}" -ne 2 ]]; then
+  echo "FAIL: a dangling stats --warehouse exited ${status}, not 2 (usage)"
+  exit 1
+fi
+for tool in "${repo}/build/examples/fleet_survey" "${tlsharm} prof --scan"; do
+  status=0
+  TLSHARM_DAYS=3x ${tool} > /dev/null 2>&1 || status=$?
+  if [[ "${status}" -ne 2 ]]; then
+    echo "FAIL: TLSHARM_DAYS=3x ${tool} exited ${status}, not 2"
+    exit 1
+  fi
+done
 rec_wh="${whdir}/camp-rec/warehouse"
 "${tlsharm}" query summary "${rec_wh}" > "${whdir}/summary.txt"
 "${tlsharm}" query group-by day "${rec_wh}" > /dev/null
@@ -198,7 +223,7 @@ if [[ -z "${observations}" || "${counted}" != "${observations}" ]]; then
   echo "FAIL: query count ${counted} != summary's ${observations} observations"
   exit 1
 fi
-echo "harm curve/explain, world refusal, usage exit and queries behave"
+echo "harm curve/explain, world refusal, usage exits and queries behave"
 echo "== adversary plane: capture-overhead budget =="
 (cd "${whdir}" && TLSHARM_POPULATION=4000 TLSHARM_DAYS=3 TLSHARM_BENCH_REPS=1 \
   "${repo}/build/bench/bench_harm")

@@ -289,6 +289,9 @@ std::uint64_t CampaignConfigDigest(const CampaignSpec& spec) {
   hash = Fnv1a(hash, static_cast<std::uint64_t>(
                          spec.robustness.requeue_delay));
   hash = Fnv1a(hash, spec.world_digest);
+  // Recording joins the identity only when on: an unrecorded campaign
+  // keeps its digest, and a resume can neither start nor drop a tape.
+  if (spec.record_captures) hash = Fnv1a(hash, 0x544150ull);  // "TAP" tag
   return hash;
 }
 
@@ -336,8 +339,10 @@ bool RunCampaign(simnet::Internet& net, const CampaignSpec& spec,
   RecoveryStats recovery;
   int start_day = 0;
 
-  // The capture tape is self-journaling (its own MANIFEST); the campaign
-  // only decides create vs. resume here and lets the tape reconcile.
+  // The capture tape reconciles itself through its own MANIFEST; the
+  // journal carries no tape digest. The config digest already refused a
+  // resume that flips recording, so a resumed recorded campaign requires
+  // its tape.
   const auto open_tape = [&](int last_committed) -> bool {
     if (!spec.record_captures) {
       // A stale tape from an earlier recorded run of this directory would
@@ -347,7 +352,7 @@ bool RunCampaign(simnet::Internet& net, const CampaignSpec& spec,
       return true;
     }
     warehouse::RecoverySweep sweep;
-    if (last_committed >= 0 && fs::exists(capture_dir + "/MANIFEST")) {
+    if (last_committed >= 0) {
       tape = warehouse::CaptureTapeWriter::Resume(capture_dir, last_committed,
                                                   &sweep, error);
     } else {

@@ -59,12 +59,12 @@ struct CampaignSpec {
   // Optional adversary recorder: when true, every probe connection is
   // tapped (attack::PassiveCapture) and each committed day adds one
   // columnar capture segment under dir/capture (warehouse/capture.h).
-  // Deliberately OUTSIDE the config digest — recording never changes an
-  // observation, so a study may be re-run with the tape on or off. The
-  // tape reconciles itself on resume via its own manifest: segments past
-  // the journal's last committed day are dropped before appends continue.
-  // Enabling it mid-campaign (resume of a tapeless run) starts the tape at
-  // the resume day.
+  // Recording never changes an observation, but it is part of the config
+  // digest when on, so a resume can neither start a tape mid-study nor
+  // drop a recorded one; an unrecorded campaign's digest is unchanged. The
+  // tape reconciles itself on resume via its own manifest (the journal
+  // carries no tape digest): segments past the journal's last committed
+  // day are dropped before appends continue.
   bool record_captures = false;
   // Optional live registry: receives the campaign's scan metrics plus the
   // end-of-study fleet sweep (obs/fleet.h). The durable metrics.json
@@ -102,7 +102,7 @@ struct CampaignResult {
 
 // The campaign's identity: days, seed, robustness knobs, world digest —
 // everything that shapes observations, and nothing (threads, telemetry)
-// that does not.
+// that does not — plus whether the capture tape records, when it does.
 std::uint64_t CampaignConfigDigest(const CampaignSpec& spec);
 
 // Runs (or resumes) the campaign. False + `error` on I/O failure, journal

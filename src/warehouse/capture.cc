@@ -1,35 +1,36 @@
 #include "warehouse/capture.h"
 
-#include <charconv>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
 #include "obs/prof.h"
-#include "util/crc32.h"
-#include "util/durable.h"
 #include "warehouse/codec_util.h"
 #include "warehouse/format.h"
 
 namespace tlsharm::warehouse {
 namespace {
 
-namespace fs = std::filesystem;
-
 using attack::CaptureRecord;
-using codec::CheckEnvelope;
 using codec::ColumnConsumed;
 using codec::EmitColumn;
-using codec::EmitPrefix;
 using codec::EmitTrailer;
+using codec::EmitVarintColumn;
 using codec::Fail;
-using codec::ReadColumn;
+using codec::ReadVarintColumn;
 
 // Performance-plane sites: columnar encode vs durable write of each day's
 // capture segment.
 const obs::ProfSite kProfCaptureEncode("tape.segment.encode");
 const obs::ProfSite kProfCaptureCommit("tape.segment.commit");
+
+// The tape is its own day store: capture-<day>.seg segments under a
+// MANIFEST whose header and `cap` entries no warehouse accepts.
+const DayStoreLayout kCaptureTapeLayout = {
+    .name = "capture-tape",
+    .manifest_header = kCaptureManifestHeader,
+    .day_tag = "cap",
+    .segment_prefix = "capture-",
+    .experiment_kind = nullptr,
+    .encode_site = &kProfCaptureEncode,
+    .commit_site = &kProfCaptureCommit,
+};
 
 // Upper bounds the decoder enforces on variable-length fields; far above
 // anything the simulation emits, far below anything that could be used to
@@ -39,106 +40,21 @@ constexpr std::uint64_t kMaxSessionIdSize = 64;
 constexpr std::uint64_t kMaxTicketSize = 1 << 16;
 constexpr std::uint64_t kMaxKexSize = 1 << 12;
 
-std::string CaptureFileName(int day) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "capture-%05d.seg", day);
-  return buf;
-}
-
-bool HasPrefixSuffix(const std::string& name, std::string_view prefix,
-                     std::string_view suffix) {
-  return name.size() >= prefix.size() + suffix.size() &&
-         name.compare(0, prefix.size(), prefix) == 0 &&
-         name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-             0;
-}
-
-bool IsTapeFile(const std::string& name) {
-  return name == kManifestName ||
-         HasPrefixSuffix(name, "capture-", ".seg");
-}
-
-bool IsOrphanedTmp(const std::string& name) {
-  constexpr std::string_view kTmp = ".tmp";
-  if (name.size() <= kTmp.size() ||
-      name.compare(name.size() - kTmp.size(), kTmp.size(), kTmp) != 0) {
-    return false;
-  }
-  return IsTapeFile(name.substr(0, name.size() - kTmp.size()));
-}
-
-bool ParseU64(std::string_view text, std::uint64_t* out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
-
-bool ParseHex32(std::string_view text, std::uint32_t* out) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] = std::from_chars(
-      text.data(), text.data() + text.size(), value, /*base=*/16);
-  if (ec != std::errc() || ptr != text.data() + text.size() ||
-      value > 0xffffffffull) {
-    return false;
-  }
-  *out = static_cast<std::uint32_t>(value);
-  return true;
-}
-
-std::string RenderManifestLine(const SegmentInfo& info) {
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), "%08x", info.crc);
-  std::ostringstream line;
-  line << "cap day=" << info.day << " file=" << info.file
-       << " rows=" << info.rows << " bytes=" << info.bytes << " crc=" << crc;
-  return line.str();
-}
-
 }  // namespace
 
 // --- Segment codec ----------------------------------------------------------
 
 Bytes EncodeCaptureSegment(int day, const std::vector<CaptureRecord>& rows) {
   Bytes out;
-  EmitPrefix(out, kKindCapture);
-  AppendVarint(out, static_cast<std::uint64_t>(day));
-  AppendVarint(out, rows.size());
-  AppendVarint(out, kCaptureColumnCount);
-
-  // Domain dictionary: same interning as the observation segment — the
-  // engine records each domain up to three times a day (main + DHE +
-  // requeue), so indices beat raw ids even before the delta coding.
-  std::vector<std::uint32_t> dict;
-  dict.reserve(rows.size());
-  for (const auto& row : rows) dict.push_back(row.domain);
-  std::sort(dict.begin(), dict.end());
-  dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-  const auto dict_index = [&dict](std::uint32_t domain) {
-    return static_cast<std::uint64_t>(
-        std::lower_bound(dict.begin(), dict.end(), domain) - dict.begin());
-  };
-
+  codec::EmitDayHeader(out, kKindCapture, day, rows.size(),
+                       kCaptureColumnCount);
   Bytes col;
   col.reserve(rows.size() * 2);
-
-  AppendVarint(col, dict.size());
-  std::uint32_t prev = 0;
-  for (std::size_t i = 0; i < dict.size(); ++i) {
-    AppendVarint(col, i == 0 ? dict[i] : dict[i] - prev);
-    prev = dict[i];
-  }
-  for (const auto& row : rows) AppendVarint(col, dict_index(row.domain));
+  codec::AppendDomainColumn(col, rows);
   EmitColumn(out, kCapColDomain, col);
 
-  col.clear();
-  for (const auto& row : rows) {
-    AppendVarint(col, static_cast<std::uint64_t>(row.time));
-  }
-  EmitColumn(out, kCapColTime, col);
-
-  col.clear();
-  for (const auto& row : rows) AppendVarint(col, row.endpoint);
-  EmitColumn(out, kCapColEndpoint, col);
+  EmitVarintColumn(out, col, kCapColTime, rows, &CaptureRecord::time);
+  EmitVarintColumn(out, col, kCapColEndpoint, rows, &CaptureRecord::endpoint);
 
   col.clear();
   for (const auto& row : rows) {
@@ -153,17 +69,11 @@ Bytes EncodeCaptureSegment(int day, const std::vector<CaptureRecord>& rows) {
   }
   EmitColumn(out, kCapColParseFail, col);
 
-  col.clear();
-  for (const auto& row : rows) AppendVarint(col, row.suite);
-  EmitColumn(out, kCapColSuite, col);
-
-  col.clear();
-  for (const auto& row : rows) AppendVarint(col, row.kex_group);
-  EmitColumn(out, kCapColKexGroup, col);
-
-  col.clear();
-  for (const auto& row : rows) AppendVarint(col, row.ticket_lifetime_hint);
-  EmitColumn(out, kCapColHint, col);
+  EmitVarintColumn(out, col, kCapColSuite, rows, &CaptureRecord::suite);
+  EmitVarintColumn(out, col, kCapColKexGroup, rows,
+                   &CaptureRecord::kex_group);
+  EmitVarintColumn(out, col, kCapColHint, rows,
+                   &CaptureRecord::ticket_lifetime_hint);
 
   const auto emit_bytes_column = [&](std::uint8_t id,
                                      Bytes CaptureRecord::*field) {
@@ -199,114 +109,20 @@ Bytes EncodeCaptureSegment(int day, const std::vector<CaptureRecord>& rows) {
 bool DecodeCaptureSegment(ByteView segment, int* day,
                           std::vector<CaptureRecord>* rows,
                           std::string* error) {
-  std::uint8_t kind = 0;
-  ByteView body;
-  if (!CheckEnvelope(segment, &kind, &body, error)) return false;
-  if (kind != kKindCapture) {
-    Fail(error, "not a capture segment (kind " + std::to_string(kind) + ")");
-    return false;
-  }
-
-  std::size_t off = 0;
-  std::uint64_t day64 = 0, row_count = 0, column_count = 0;
-  if (!ReadVarint(body, off, day64) || !ReadVarint(body, off, row_count) ||
-      !ReadVarint(body, off, column_count)) {
-    Fail(error, "segment header truncated");
-    return false;
-  }
-  if (day64 > 0xffff) {
-    Fail(error, "implausible day " + std::to_string(day64));
-    return false;
-  }
-  if (column_count != kCaptureColumnCount) {
-    Fail(error, "expected " + std::to_string(kCaptureColumnCount) +
-                    " columns, found " + std::to_string(column_count));
-    return false;
-  }
-  // Each row occupies at least one byte in the flags column alone.
-  if (row_count > body.size()) {
-    Fail(error, "row count exceeds segment size");
-    return false;
-  }
-  const std::size_t n = static_cast<std::size_t>(row_count);
-
   ByteView cols[kCaptureColumnCount];
-  for (int c = 0; c < kCaptureColumnCount; ++c) {
-    if (!ReadColumn(body, off, static_cast<std::uint8_t>(c), &cols[c],
-                    error)) {
-      return false;
-    }
-  }
-  if (off != body.size()) {
-    Fail(error, "trailing bytes after last column");
+  int segment_day = 0;
+  std::size_t n = 0;
+  if (!codec::ReadDayHeader(segment, kKindCapture, "a capture",
+                            kCaptureColumnCount, cols, &segment_day, &n,
+                            error)) {
     return false;
   }
-
   rows->assign(n, CaptureRecord{});
-
-  // Domain dictionary + per-row indices.
-  {
-    ByteView col = cols[kCapColDomain];
-    std::size_t pos = 0;
-    std::uint64_t dict_count = 0;
-    if (!ReadVarint(col, pos, dict_count) || dict_count > col.size()) {
-      Fail(error, "domain dictionary truncated");
-      return false;
-    }
-    std::vector<std::uint32_t> dict;
-    dict.reserve(static_cast<std::size_t>(dict_count));
-    std::uint64_t prev = 0;
-    for (std::uint64_t i = 0; i < dict_count; ++i) {
-      std::uint64_t value = 0;
-      if (!ReadVarint(col, pos, value)) {
-        Fail(error, "domain dictionary truncated");
-        return false;
-      }
-      const std::uint64_t domain = i == 0 ? value : prev + value;
-      if (domain > 0xffffffffull || (i != 0 && value == 0)) {
-        Fail(error, "domain dictionary not strictly increasing");
-        return false;
-      }
-      dict.push_back(static_cast<std::uint32_t>(domain));
-      prev = domain;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t index = 0;
-      if (!ReadVarint(col, pos, index) || index >= dict.size()) {
-        Fail(error, "domain index out of dictionary range");
-        return false;
-      }
-      (*rows)[i].domain = dict[static_cast<std::size_t>(index)];
-    }
-    if (!ColumnConsumed(col, pos, kCapColDomain, error)) return false;
-  }
-
-  // The varint-coded numeric columns.
-  const auto read_u64_column =
-      [&](CaptureColumn id, std::uint64_t max,
-          const std::function<void(CaptureRecord&, std::uint64_t)>& assign)
-      -> bool {
-    ByteView col = cols[id];
-    std::size_t pos = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t value = 0;
-      if (!ReadVarint(col, pos, value) || value > max) {
-        Fail(error, "column " + std::to_string(id) + " value invalid");
-        return false;
-      }
-      assign((*rows)[i], value);
-    }
-    return ColumnConsumed(col, pos, id, error);
-  };
-
-  if (!read_u64_column(kCapColTime, 0x7fffffffffffffffull,
-                       [](CaptureRecord& r, std::uint64_t v) {
-                         r.time = static_cast<SimTime>(v);
-                       }) ||
-      !read_u64_column(kCapColEndpoint, 0xffffffffull,
-                       [](CaptureRecord& r, std::uint64_t v) {
-                         r.endpoint = static_cast<std::uint32_t>(v);
-                       })) {
+  if (!codec::ReadDomainColumn(cols, kCapColDomain, *rows, error) ||
+      !ReadVarintColumn(cols, kCapColTime, 0x7fffffffffffffffull, *rows,
+                        &CaptureRecord::time, error) ||
+      !ReadVarintColumn(cols, kCapColEndpoint, 0xffffffffull, *rows,
+                        &CaptureRecord::endpoint, error)) {
     return false;
   }
 
@@ -337,19 +153,12 @@ bool DecodeCaptureSegment(ByteView segment, int* day,
     (*rows)[i].parse_fail = static_cast<attack::CaptureParseFail>(fail);
   }
 
-  if (!read_u64_column(kCapColSuite, 0xffff,
-                       [](CaptureRecord& r, std::uint64_t v) {
-                         r.suite = static_cast<std::uint16_t>(v);
-                       }) ||
-      !read_u64_column(kCapColKexGroup, 0xffff,
-                       [](CaptureRecord& r, std::uint64_t v) {
-                         r.kex_group = static_cast<std::uint16_t>(v);
-                       }) ||
-      !read_u64_column(kCapColHint, 0xffffffffull,
-                       [](CaptureRecord& r, std::uint64_t v) {
-                         r.ticket_lifetime_hint =
-                             static_cast<std::uint32_t>(v);
-                       })) {
+  if (!ReadVarintColumn(cols, kCapColSuite, 0xffff, *rows,
+                        &CaptureRecord::suite, error) ||
+      !ReadVarintColumn(cols, kCapColKexGroup, 0xffff, *rows,
+                        &CaptureRecord::kex_group, error) ||
+      !ReadVarintColumn(cols, kCapColHint, 0xffffffffull, *rows,
+                        &CaptureRecord::ticket_lifetime_hint, error)) {
     return false;
   }
 
@@ -408,314 +217,53 @@ bool DecodeCaptureSegment(ByteView segment, int* day,
     if (!ColumnConsumed(col, pos, kCapColTraffic, error)) return false;
   }
 
-  *day = static_cast<int>(day64);
+  *day = segment_day;
   return true;
 }
 
 // --- CaptureTapeWriter ------------------------------------------------------
 
-CaptureTapeWriter::CaptureTapeWriter(std::string dir) : dir_(std::move(dir)) {}
+CaptureTapeWriter::CaptureTapeWriter(std::string dir)
+    : DayStoreWriter(kCaptureTapeLayout, std::move(dir)) {}
 
 std::unique_ptr<CaptureTapeWriter> CaptureTapeWriter::Create(
     const std::string& dir, std::string* error, RecoverySweep* sweep) {
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    if (error != nullptr) {
-      *error = "cannot create " + dir + ": " + ec.message();
-    }
-    return nullptr;
-  }
-  // Reset: a recording must never mix with a previous study's segments.
-  RecoverySweep swept;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (IsOrphanedTmp(name)) {
-      fs::remove(entry.path(), ec);
-      ++swept.tmp_files_removed;
-    } else if (IsTapeFile(name)) {
-      fs::remove(entry.path(), ec);
-    }
-  }
-  if (sweep != nullptr) *sweep = swept;
+  if (!ResetDirectory(kCaptureTapeLayout, dir, error, sweep)) return nullptr;
   return std::unique_ptr<CaptureTapeWriter>(new CaptureTapeWriter(dir));
 }
 
 std::unique_ptr<CaptureTapeWriter> CaptureTapeWriter::Resume(
     const std::string& dir, int last_day, RecoverySweep* sweep,
     std::string* error) {
-  std::optional<CaptureTape> existing = CaptureTape::Open(dir, error);
-  if (!existing.has_value()) return nullptr;
-
-  // Verify the committed prefix BEFORE deleting anything.
   std::unique_ptr<CaptureTapeWriter> writer(new CaptureTapeWriter(dir));
-  for (const SegmentInfo& info : existing->Segments()) {
-    if (info.day > last_day) continue;
-    const std::string path = dir + "/" + info.file;
-    Bytes bytes;
-    if (!ReadWarehouseFile(path, &bytes, error)) return nullptr;
-    if (bytes.size() != info.bytes || Crc32(bytes) != info.crc) {
-      if (error != nullptr) {
-        *error = path + ": committed segment does not match manifest";
-      }
-      return nullptr;
-    }
-    writer->segments_.push_back(info);
-    writer->rows_written_ += info.rows;
-    writer->bytes_written_ += info.bytes;
-  }
-
-  RecoverySweep swept;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (IsOrphanedTmp(name)) {
-      fs::remove(entry.path(), ec);
-      ++swept.tmp_files_removed;
-      continue;
-    }
-    if (!HasPrefixSuffix(name, "capture-", ".seg")) continue;
-    const std::string digits = name.substr(8, name.size() - 8 - 4);
-    std::uint64_t day = 0;
-    if (!ParseU64(digits, &day) || static_cast<int>(day) > last_day) {
-      fs::remove(entry.path(), ec);
-      ++swept.stale_segments_removed;
-    }
-  }
-  if (sweep != nullptr) *sweep = swept;
-
-  if (!writer->WriteManifest()) {
-    if (error != nullptr) *error = writer->error();
-    return nullptr;
-  }
+  if (!writer->Reopen(last_day, sweep, error)) return nullptr;
   return writer;
 }
 
-void CaptureTapeWriter::Latch(const std::string& message) {
-  if (!ok_) return;
-  ok_ = false;
-  error_ = message;
-}
-
 void CaptureTapeWriter::Append(int day, const attack::CaptureRecord& record) {
-  if (!ok_) return;
-  if (day < 0) {
-    Latch("negative day appended");
-    return;
-  }
-  if (current_day_ == -1) {
-    if (!segments_.empty() && day <= segments_.back().day) {
-      Latch("append day " + std::to_string(day) + " not after day " +
-            std::to_string(segments_.back().day));
-      return;
-    }
-    current_day_ = day;
-  } else if (day != current_day_) {
-    if (day < current_day_) {
-      Latch("append days must be non-decreasing");
-      return;
-    }
-    FlushDay();
-    if (!ok_) return;
-    current_day_ = day;
-  }
-  pending_.push_back(record);
+  if (AdmitRow(day)) pending_.push_back(record);
 }
 
-void CaptureTapeWriter::EndDay(int day) {
-  if (!ok_) return;
-  if (current_day_ == -1) {
-    // A scanned day that recorded nothing still gets its (empty) segment.
-    if (!segments_.empty() && day <= segments_.back().day) {
-      Latch("EndDay " + std::to_string(day) + " out of order");
-      return;
-    }
-    current_day_ = day;
-  } else if (day != current_day_) {
-    Latch("EndDay " + std::to_string(day) + " while day " +
-          std::to_string(current_day_) + " is open");
-    return;
-  }
-  FlushDay();
-}
-
-void CaptureTapeWriter::FlushDay() {
-  if (!ok_ || current_day_ == -1) return;
-  const Bytes segment = [&] {
-    obs::ProfScope span(kProfCaptureEncode);
-    return EncodeCaptureSegment(current_day_, pending_);
-  }();
-  SegmentInfo info;
-  info.day = current_day_;
-  info.file = CaptureFileName(current_day_);
-  info.rows = pending_.size();
-  info.bytes = segment.size();
-  info.crc = Crc32(segment);
-  const std::string path = dir_ + "/" + info.file;
-  obs::ProfScope commit_span(kProfCaptureCommit);
-  std::string write_error;
-  if (!DurableWriteFile(path, segment, &write_error)) {
-    Latch("cannot write " + path + ": " + write_error);
-  } else {
-    bytes_written_ += segment.size();
-    rows_written_ += pending_.size();
-    segments_.push_back(std::move(info));
-    WriteManifest();
-  }
+Bytes CaptureTapeWriter::EncodeDay(int day) {
+  Bytes segment = EncodeCaptureSegment(day, pending_);
   pending_.clear();
-  current_day_ = -1;
-}
-
-void CaptureTapeWriter::Finish() {
-  if (!ok_) return;
-  FlushDay();
-  WriteManifest();
-}
-
-bool CaptureTapeWriter::WriteManifest() {
-  if (!ok_) return false;
-  std::ostringstream manifest;
-  manifest << kCaptureManifestHeader << "\n";
-  for (const SegmentInfo& info : segments_) {
-    manifest << RenderManifestLine(info) << "\n";
-  }
-  const std::string path = dir_ + "/" + kManifestName;
-  const std::string text = manifest.str();
-  const ByteView bytes(reinterpret_cast<const std::uint8_t*>(text.data()),
-                       text.size());
-  std::string write_error;
-  if (!DurableWriteFile(path, bytes, &write_error)) {
-    Latch("cannot write " + path + ": " + write_error);
-    return false;
-  }
-  manifest_crc_ = Crc32(bytes);
-  return true;
+  return segment;
 }
 
 // --- CaptureTape (reader) ---------------------------------------------------
 
 std::optional<CaptureTape> CaptureTape::Open(const std::string& dir,
                                              std::string* error) {
-  const std::string path = dir + "/" + kManifestName;
-  std::ifstream in(path);
-  if (!in) {
-    if (error != nullptr) *error = "no capture-tape manifest at " + path;
-    return std::nullopt;
-  }
   CaptureTape tape;
-  tape.dir_ = dir;
-  std::string line;
-  if (!std::getline(in, line) || line != kCaptureManifestHeader) {
-    if (error != nullptr) {
-      *error = path + ": unsupported manifest header \"" + line + "\"";
-    }
-    return std::nullopt;
-  }
-  std::size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const std::string where = path + ":" + std::to_string(line_no);
-    std::istringstream tokens(line);
-    std::string type;
-    tokens >> type;
-    if (type != "cap") {
-      if (error != nullptr) {
-        *error = where + ": unknown entry \"" + type + "\"";
-      }
-      return std::nullopt;
-    }
-    SegmentInfo info;
-    bool have_day = false, have_file = false, have_rows = false,
-         have_bytes = false, have_crc = false;
-    std::string token;
-    while (tokens >> token) {
-      const std::size_t eq = token.find('=');
-      if (eq == std::string::npos) {
-        if (error != nullptr) *error = where + ": malformed token";
-        return std::nullopt;
-      }
-      const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      std::uint64_t number = 0;
-      if (key == "day" && ParseU64(value, &number) && number <= 0xffff) {
-        info.day = static_cast<int>(number);
-        have_day = true;
-      } else if (key == "file" && !value.empty() &&
-                 value.find('/') == std::string::npos) {
-        info.file = value;
-        have_file = true;
-      } else if (key == "rows" && ParseU64(value, &number)) {
-        info.rows = number;
-        have_rows = true;
-      } else if (key == "bytes" && ParseU64(value, &number)) {
-        info.bytes = number;
-        have_bytes = true;
-      } else if (key == "crc" && ParseHex32(value, &info.crc)) {
-        have_crc = true;
-      } else {
-        if (error != nullptr) *error = where + ": bad field \"" + token + "\"";
-        return std::nullopt;
-      }
-    }
-    if (!have_day || !have_file || !have_rows || !have_bytes || !have_crc) {
-      if (error != nullptr) *error = where + ": missing fields";
-      return std::nullopt;
-    }
-    if (!tape.segments_.empty() && info.day <= tape.segments_.back().day) {
-      if (error != nullptr) {
-        *error = where + ": capture days not strictly increasing";
-      }
-      return std::nullopt;
-    }
-    tape.segments_.push_back(std::move(info));
-  }
+  if (!tape.Load(kCaptureTapeLayout, dir, error)) return std::nullopt;
   return tape;
-}
-
-int CaptureTape::DayCount() const {
-  return segments_.empty() ? 0 : segments_.back().day + 1;
-}
-
-std::uint64_t CaptureTape::TotalRows() const {
-  std::uint64_t total = 0;
-  for (const SegmentInfo& info : segments_) total += info.rows;
-  return total;
 }
 
 bool CaptureTape::ForEachCapture(
     int day_min, int day_max,
     const std::function<void(int day, const attack::CaptureRecord&)>& visit,
     std::string* error) const {
-  for (const SegmentInfo& info : segments_) {
-    if (info.day < day_min || info.day > day_max) continue;  // pruned
-    const std::string path = dir_ + "/" + info.file;
-    Bytes bytes;
-    if (!ReadWarehouseFile(path, &bytes, error)) return false;
-    if (bytes.size() != info.bytes || Crc32(bytes) != info.crc) {
-      if (error != nullptr) {
-        *error = path + ": file does not match manifest (size/crc)";
-      }
-      return false;
-    }
-    int day = 0;
-    std::vector<attack::CaptureRecord> rows;
-    std::string decode_error;
-    if (!DecodeCaptureSegment(bytes, &day, &rows, &decode_error)) {
-      if (error != nullptr) *error = path + ": " + decode_error;
-      return false;
-    }
-    if (day != info.day || rows.size() != info.rows) {
-      if (error != nullptr) {
-        *error = path + ": decoded day/rows disagree with manifest";
-      }
-      return false;
-    }
-    for (const auto& row : rows) visit(day, row);
-  }
-  return true;
+  return ForEachDayRow(day_min, day_max, DecodeCaptureSegment, visit, error);
 }
 
 }  // namespace tlsharm::warehouse

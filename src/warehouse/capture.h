@@ -3,15 +3,15 @@
 // the same envelope, dictionary and checksum machinery as the observation
 // warehouse (format.h kind 2).
 //
-// CaptureTapeWriter is an attack::CaptureSink: attach it to the scan
-// engine via ScanEngineOptions::capture and each virtual day's records
-// become one "capture-<day>.seg" the moment the day ends. The engine
-// delivers records in canonical order, so tape bytes are identical at any
-// TLSHARM_THREADS. The tape directory carries its own MANIFEST (header
-// "tlsharm-capture-tape 1", `cap day=...` lines) and the same durable
-// commit discipline as the warehouse: atomic temp+fsync+rename, orphaned
-// *.tmp swept on Create, Resume verifying kept segments before dropping
-// anything past the last committed day.
+// The tape is a day store (day_store.h), like the warehouse: one directory
+// implementation writes, resumes and reads both. The tape differs only in
+// its DayStoreLayout ("capture-<day>.seg" segments, a MANIFEST headed
+// "tlsharm-capture-tape 1" with `cap day=...` lines, the tape.segment.*
+// prof spans) and in the row codec below. CaptureTapeWriter is an
+// attack::CaptureSink: attach it to the scan engine via
+// ScanEngineOptions::capture and each virtual day's records become one
+// segment the moment the day ends. The engine delivers records in
+// canonical order, so tape bytes are identical at any TLSHARM_THREADS.
 //
 // CaptureTape (the reader) streams records back in canonical order with
 // day-range partition pruning, validating manifest size/CRC and every
@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "attack/record.h"
-#include "warehouse/warehouse.h"
+#include "warehouse/day_store.h"
 
 namespace tlsharm::warehouse {
 
@@ -36,7 +36,8 @@ bool DecodeCaptureSegment(ByteView segment, int* day,
                           std::vector<attack::CaptureRecord>* rows,
                           std::string* error);
 
-class CaptureTapeWriter final : public attack::CaptureSink {
+class CaptureTapeWriter final : public attack::CaptureSink,
+                                public DayStoreWriter {
  public:
   // Creates (or resets) the tape directory; sweeps previous segments and
   // orphaned temp files. nullptr + `error` when the directory cannot be
@@ -56,42 +57,22 @@ class CaptureTapeWriter final : public attack::CaptureSink {
 
   // attack::CaptureSink (Append days non-decreasing, canonical order).
   void Append(int day, const attack::CaptureRecord& record) override;
-  void EndDay(int day) override;
-  void Finish() override;
-
-  bool ok() const { return ok_; }
-  const std::string& error() const { return error_; }
-  std::uint64_t RowsWritten() const { return rows_written_; }
-  std::uint64_t BytesWritten() const { return bytes_written_; }
-  std::uint32_t ManifestCrc() const { return manifest_crc_; }
+  void EndDay(int day) override { CloseDay(day); }
+  void Finish() override { CloseStudy(); }
 
  private:
   explicit CaptureTapeWriter(std::string dir);
+  Bytes EncodeDay(int day) override;
 
-  void FlushDay();
-  bool WriteManifest();
-  void Latch(const std::string& message);
-
-  std::string dir_;
-  int current_day_ = -1;  // day being buffered; -1 = none yet
   std::vector<attack::CaptureRecord> pending_;
-  std::vector<SegmentInfo> segments_;
-  std::uint64_t rows_written_ = 0;
-  std::uint64_t bytes_written_ = 0;
-  std::uint32_t manifest_crc_ = 0;
-  bool ok_ = true;
-  std::string error_;
 };
 
-class CaptureTape {
+class CaptureTape : public DayStoreReader {
  public:
   static std::optional<CaptureTape> Open(const std::string& dir,
                                          std::string* error);
 
-  const std::string& Directory() const { return dir_; }
-  const std::vector<SegmentInfo>& Segments() const { return segments_; }
-  int DayCount() const;
-  std::uint64_t TotalRows() const;
+  const std::vector<SegmentInfo>& Segments() const { return days_; }
 
   // Streams every record with day in [day_min, day_max] in canonical
   // order; segments outside the range are never read from disk. False +
@@ -103,9 +84,6 @@ class CaptureTape {
 
  private:
   CaptureTape() = default;
-
-  std::string dir_;
-  std::vector<SegmentInfo> segments_;
 };
 
 }  // namespace tlsharm::warehouse

@@ -1,4 +1,5 @@
-// On-disk constants of the columnar observation warehouse.
+// On-disk constants of the two day stores (day_store.h): the columnar
+// observation warehouse and the capture tape.
 //
 // A warehouse is a directory:
 //
@@ -10,6 +11,10 @@
 //                        experiment ("session_id", "ticket")
 //   ckpt-<day>.bin       optional incremental-fold checkpoints (fold.h)
 //
+// A capture tape (capture.h) is a directory of the same shape holding only
+// its MANIFEST and capture-<day>.seg segments; one implementation
+// (day_store.h) writes, resumes and reads both.
+//
 // Segment layout (all integers varint unless noted; see util/bytes.h):
 //
 //   magic "TLWH" | version u8 | kind u8
@@ -18,18 +23,20 @@
 //   per column: id u8 | payload_length | payload CRC-32 (4B BE) | payload
 //   segment CRC-32 (4B BE) over every preceding byte
 //
-// Observation segments (kind 0) carry header {day, rows} and nine columns:
-// the domain column is dictionary-interned (sorted unique domain ids,
-// delta-varint encoded, then one dictionary index per row), flags and
-// failure-class are one byte per row, and the remaining numeric columns
-// are plain varints. Lifetime segments (kind 1) carry header {experiment,
-// rows, trusted_https, indicated, resumed_1s} and three columns with the
-// domain column delta-encoded (ascending by construction).
+// Observation segments (kind 0) carry the day header {day, rows} and nine
+// columns: the domain column is dictionary-interned (the count of sorted
+// unique domain ids, the ids as an ascending-id column — first absolute,
+// then gaps — and one dictionary index per row), flags and failure-class
+// are one byte per row, and the remaining numeric columns are plain
+// varints. Lifetime segments (kind 1) carry header {experiment, rows,
+// trusted_https, indicated, resumed_1s} and three columns, the domain
+// column an ascending-id column (ascending by construction).
 //
 // Decoders verify, in order: size, magic, version, segment CRC, then
 // structure — so any bit flip is caught by a checksum before field
 // validation, and a version bump is rejected explicitly. Every varint read
-// is bounds-checked; no decoder ever trusts a length field.
+// is bounds-checked; no decoder ever trusts a length field. The shared
+// pieces of every codec live in codec_util.h.
 #pragma once
 
 #include <cstdint>
@@ -66,8 +73,8 @@ enum LifetimeColumn : std::uint8_t {
 inline constexpr int kLifetimeColumnCount = 3;
 
 // Capture-segment column ids, in file order (kind 2; capture.h). Carry
-// header {day, rows}. The domain column is dictionary-interned like the
-// observation segment's; the byte-string columns (randoms, session ID,
+// the day header {day, rows}. The domain column is dictionary-interned
+// like the observation segment's; the byte-string columns (randoms, session ID,
 // ticket, kex values) are varint-length-prefixed per row; the traffic
 // column packs five varints per row (wire bytes, record counts and bytes
 // per direction).
@@ -97,10 +104,10 @@ inline constexpr std::uint8_t kExperimentTicket = 1;
 inline constexpr char kManifestName[] = "MANIFEST";
 inline constexpr char kManifestHeader[] = "tlsharm-warehouse 1";
 
-// The capture tape (capture.h) is its own directory of capture segments
+// The capture tape (capture.h) is its own day store of capture segments
 // ("capture-<day>.seg") with the same MANIFEST file name but a distinct
-// header line, so a tape can never be mistaken for an observation
-// warehouse (or vice versa).
+// header line and `cap` entries, so a tape can never be mistaken for an
+// observation warehouse (or vice versa).
 inline constexpr char kCaptureManifestHeader[] = "tlsharm-capture-tape 1";
 
 // Checkpoint files (ckpt-<day>.bin) are "TLWC" | version | payload |

@@ -1,8 +1,5 @@
 #include "warehouse/segment.h"
 
-#include <algorithm>
-#include <functional>
-
 #include "scanner/store.h"
 #include "util/crc32.h"
 #include "warehouse/codec_util.h"
@@ -20,43 +17,20 @@ using codec::ColumnConsumed;
 using codec::EmitColumn;
 using codec::EmitPrefix;
 using codec::EmitTrailer;
+using codec::EmitVarintColumn;
 using codec::Fail;
-using codec::ReadColumn;
+using codec::ReadVarintColumn;
 
 }  // namespace
 
 Bytes EncodeObservationSegment(int day,
                                const std::vector<HandshakeObservation>& rows) {
   Bytes out;
-  EmitPrefix(out, kKindObservations);
-  AppendVarint(out, static_cast<std::uint64_t>(day));
-  AppendVarint(out, rows.size());
-  AppendVarint(out, kObsColumnCount);
-
-  // Domain dictionary: the sorted unique domain ids, delta-encoded (first
-  // absolute, then gaps); each row then stores its dictionary index. Daily
-  // scans hit the same domains twice or more (main + DHE + requeue), so
-  // interning pays even before the delta encoding does.
-  std::vector<scanner::DomainIndex> dict;
-  dict.reserve(rows.size());
-  for (const auto& row : rows) dict.push_back(row.domain);
-  std::sort(dict.begin(), dict.end());
-  dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-  const auto dict_index = [&dict](scanner::DomainIndex domain) {
-    return static_cast<std::uint64_t>(
-        std::lower_bound(dict.begin(), dict.end(), domain) - dict.begin());
-  };
-
+  codec::EmitDayHeader(out, kKindObservations, day, rows.size(),
+                       kObsColumnCount);
   Bytes col;
   col.reserve(rows.size() * 2);
-
-  AppendVarint(col, dict.size());
-  scanner::DomainIndex prev = 0;
-  for (std::size_t i = 0; i < dict.size(); ++i) {
-    AppendVarint(col, i == 0 ? dict[i] : dict[i] - prev);
-    prev = dict[i];
-  }
-  for (const auto& row : rows) AppendVarint(col, dict_index(row.domain));
+  codec::AppendDomainColumn(col, rows);
   EmitColumn(out, kColDomain, col);
 
   col.clear();
@@ -72,32 +46,13 @@ Bytes EncodeObservationSegment(int day,
   }
   EmitColumn(out, kColFailure, col);
 
-  col.clear();
-  for (const auto& row : rows) {
-    AppendVarint(col, static_cast<std::uint16_t>(row.suite));
-  }
-  EmitColumn(out, kColSuite, col);
-
-  col.clear();
-  for (const auto& row : rows) AppendVarint(col, row.kex_group);
-  EmitColumn(out, kColKexGroup, col);
-
-  col.clear();
-  for (const auto& row : rows) AppendVarint(col, row.kex_value);
-  EmitColumn(out, kColKexValue, col);
-
-  col.clear();
-  for (const auto& row : rows) AppendVarint(col, row.session_id);
-  EmitColumn(out, kColSessionId, col);
-
-  col.clear();
-  for (const auto& row : rows) AppendVarint(col, row.stek_id);
-  EmitColumn(out, kColStekId, col);
-
-  col.clear();
-  for (const auto& row : rows) AppendVarint(col, row.ticket_lifetime_hint);
-  EmitColumn(out, kColHint, col);
-
+  using Obs = HandshakeObservation;
+  EmitVarintColumn(out, col, kColSuite, rows, &Obs::suite);
+  EmitVarintColumn(out, col, kColKexGroup, rows, &Obs::kex_group);
+  EmitVarintColumn(out, col, kColKexValue, rows, &Obs::kex_value);
+  EmitVarintColumn(out, col, kColSessionId, rows, &Obs::session_id);
+  EmitVarintColumn(out, col, kColStekId, rows, &Obs::stek_id);
+  EmitVarintColumn(out, col, kColHint, rows, &Obs::ticket_lifetime_hint);
   EmitTrailer(out);
   return out;
 }
@@ -105,88 +60,16 @@ Bytes EncodeObservationSegment(int day,
 bool DecodeObservationSegment(ByteView segment, int* day,
                               std::vector<HandshakeObservation>* rows,
                               std::string* error) {
-  std::uint8_t kind = 0;
-  ByteView body;
-  if (!CheckEnvelope(segment, &kind, &body, error)) return false;
-  if (kind != kKindObservations) {
-    Fail(error, "not an observation segment (kind " + std::to_string(kind) +
-                    ")");
-    return false;
-  }
-
-  std::size_t off = 0;
-  std::uint64_t day64 = 0, row_count = 0, column_count = 0;
-  if (!ReadVarint(body, off, day64) || !ReadVarint(body, off, row_count) ||
-      !ReadVarint(body, off, column_count)) {
-    Fail(error, "segment header truncated");
-    return false;
-  }
-  if (day64 > 0xffff) {
-    Fail(error, "implausible day " + std::to_string(day64));
-    return false;
-  }
-  if (column_count != kObsColumnCount) {
-    Fail(error, "expected " + std::to_string(kObsColumnCount) +
-                    " columns, found " + std::to_string(column_count));
-    return false;
-  }
-  // Each row occupies at least one byte in the flags column alone.
-  if (row_count > body.size()) {
-    Fail(error, "row count exceeds segment size");
-    return false;
-  }
-  const std::size_t n = static_cast<std::size_t>(row_count);
-
   ByteView cols[kObsColumnCount];
-  for (int c = 0; c < kObsColumnCount; ++c) {
-    if (!ReadColumn(body, off, static_cast<std::uint8_t>(c), &cols[c],
-                    error)) {
-      return false;
-    }
-  }
-  if (off != body.size()) {
-    Fail(error, "trailing bytes after last column");
+  int segment_day = 0;
+  std::size_t n = 0;
+  if (!codec::ReadDayHeader(segment, kKindObservations, "an observation",
+                            kObsColumnCount, cols, &segment_day, &n,
+                            error)) {
     return false;
   }
-
   rows->assign(n, HandshakeObservation{});
-
-  // Domain dictionary + per-row indices.
-  {
-    ByteView col = cols[kColDomain];
-    std::size_t pos = 0;
-    std::uint64_t dict_count = 0;
-    if (!ReadVarint(col, pos, dict_count) || dict_count > col.size()) {
-      Fail(error, "domain dictionary truncated");
-      return false;
-    }
-    std::vector<scanner::DomainIndex> dict;
-    dict.reserve(static_cast<std::size_t>(dict_count));
-    std::uint64_t prev = 0;
-    for (std::uint64_t i = 0; i < dict_count; ++i) {
-      std::uint64_t value = 0;
-      if (!ReadVarint(col, pos, value)) {
-        Fail(error, "domain dictionary truncated");
-        return false;
-      }
-      const std::uint64_t domain = i == 0 ? value : prev + value;
-      if (domain > 0xffffffffull || (i != 0 && value == 0)) {
-        Fail(error, "domain dictionary not strictly increasing");
-        return false;
-      }
-      dict.push_back(static_cast<scanner::DomainIndex>(domain));
-      prev = domain;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t index = 0;
-      if (!ReadVarint(col, pos, index) || index >= dict.size()) {
-        Fail(error, "domain index out of dictionary range");
-        return false;
-      }
-      (*rows)[i].domain = dict[static_cast<std::size_t>(index)];
-    }
-    if (!ColumnConsumed(col, pos, kColDomain, error)) return false;
-  }
+  if (!codec::ReadDomainColumn(cols, kColDomain, *rows, error)) return false;
 
   if (cols[kColFlags].size() != n) {
     Fail(error, "flags column row mismatch");
@@ -215,52 +98,22 @@ bool DecodeObservationSegment(ByteView segment, int* day,
   }
 
   // The varint-coded numeric columns.
-  const auto read_u64_column =
-      [&](ObsColumn id, std::uint64_t max,
-          const std::function<void(HandshakeObservation&, std::uint64_t)>&
-              assign) -> bool {
-    ByteView col = cols[id];
-    std::size_t pos = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t value = 0;
-      if (!ReadVarint(col, pos, value) || value > max) {
-        Fail(error, "column " + std::to_string(id) + " value invalid");
-        return false;
-      }
-      assign((*rows)[i], value);
-    }
-    return ColumnConsumed(col, pos, id, error);
-  };
-
-  if (!read_u64_column(kColSuite, 0xffff,
-                       [](HandshakeObservation& o, std::uint64_t v) {
-                         o.suite = static_cast<tls::CipherSuite>(v);
-                       }) ||
-      !read_u64_column(kColKexGroup, 0xffff,
-                       [](HandshakeObservation& o, std::uint64_t v) {
-                         o.kex_group = static_cast<std::uint16_t>(v);
-                       }) ||
-      !read_u64_column(kColKexValue, ~0ull,
-                       [](HandshakeObservation& o, std::uint64_t v) {
-                         o.kex_value = v;
-                       }) ||
-      !read_u64_column(kColSessionId, ~0ull,
-                       [](HandshakeObservation& o, std::uint64_t v) {
-                         o.session_id = v;
-                       }) ||
-      !read_u64_column(kColStekId, ~0ull,
-                       [](HandshakeObservation& o, std::uint64_t v) {
-                         o.stek_id = v;
-                       }) ||
-      !read_u64_column(kColHint, 0xffffffffull,
-                       [](HandshakeObservation& o, std::uint64_t v) {
-                         o.ticket_lifetime_hint =
-                             static_cast<std::uint32_t>(v);
-                       })) {
+  using Obs = HandshakeObservation;
+  if (!ReadVarintColumn(cols, kColSuite, 0xffff, *rows, &Obs::suite, error) ||
+      !ReadVarintColumn(cols, kColKexGroup, 0xffff, *rows, &Obs::kex_group,
+                        error) ||
+      !ReadVarintColumn(cols, kColKexValue, ~0ull, *rows, &Obs::kex_value,
+                        error) ||
+      !ReadVarintColumn(cols, kColSessionId, ~0ull, *rows, &Obs::session_id,
+                        error) ||
+      !ReadVarintColumn(cols, kColStekId, ~0ull, *rows, &Obs::stek_id,
+                        error) ||
+      !ReadVarintColumn(cols, kColHint, 0xffffffffull, *rows,
+                        &Obs::ticket_lifetime_hint, error)) {
     return false;
   }
 
-  *day = static_cast<int>(day64);
+  *day = segment_day;
   return true;
 }
 
@@ -275,26 +128,20 @@ Bytes EncodeLifetimeSegment(std::uint8_t experiment,
   AppendVarint(out, result.resumed_1s);
   AppendVarint(out, kLifetimeColumnCount);
 
-  Bytes col;
   // Domains ascend strictly (the experiment walks ids in order, at most
   // one measurement each), so deltas stay small.
-  scanner::DomainIndex prev = 0;
-  for (std::size_t i = 0; i < result.lifetimes.size(); ++i) {
-    const scanner::DomainIndex domain = result.lifetimes[i].domain;
-    AppendVarint(col, i == 0 ? domain : domain - prev);
-    prev = domain;
-  }
+  std::vector<std::uint32_t> domains;
+  domains.reserve(result.lifetimes.size());
+  for (const auto& m : result.lifetimes) domains.push_back(m.domain);
+  Bytes col;
+  codec::AppendAscendingIds(col, domains);
   EmitColumn(out, kColLifetimeDomain, col);
 
-  col.clear();
-  for (const auto& m : result.lifetimes) {
-    AppendVarint(col, static_cast<std::uint64_t>(m.max_delay));
-  }
-  EmitColumn(out, kColLifetimeDelay, col);
-
-  col.clear();
-  for (const auto& m : result.lifetimes) AppendVarint(col, m.lifetime_hint);
-  EmitColumn(out, kColLifetimeHint, col);
+  using Lifetime = scanner::LifetimeMeasurement;
+  EmitVarintColumn(out, col, kColLifetimeDelay, result.lifetimes,
+                   &Lifetime::max_delay);
+  EmitVarintColumn(out, col, kColLifetimeHint, result.lifetimes,
+                   &Lifetime::lifetime_hint);
 
   EmitTrailer(out);
   return out;
@@ -338,67 +185,30 @@ bool DecodeLifetimeSegment(ByteView segment, std::uint8_t* experiment,
   const std::size_t n = static_cast<std::size_t>(row_count);
 
   ByteView cols[kLifetimeColumnCount];
-  for (int c = 0; c < kLifetimeColumnCount; ++c) {
-    if (!ReadColumn(body, off, static_cast<std::uint8_t>(c), &cols[c],
-                    error)) {
-      return false;
-    }
-  }
-  if (off != body.size()) {
-    Fail(error, "trailing bytes after last column");
+  if (!codec::ReadColumnTable(body, off, kLifetimeColumnCount, cols, error)) {
     return false;
   }
 
   result->trusted_https = static_cast<std::size_t>(trusted);
   result->indicated = static_cast<std::size_t>(indicated);
   result->resumed_1s = static_cast<std::size_t>(resumed);
-  result->lifetimes.assign(n, scanner::LifetimeMeasurement{});
+  using Lifetime = scanner::LifetimeMeasurement;
+  result->lifetimes.assign(n, Lifetime{});
 
-  {
-    ByteView col = cols[kColLifetimeDomain];
-    std::size_t pos = 0;
-    std::uint64_t prev = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t value = 0;
-      if (!ReadVarint(col, pos, value)) {
-        Fail(error, "lifetime domain column truncated");
-        return false;
-      }
-      const std::uint64_t domain = i == 0 ? value : prev + value;
-      if (domain > 0xffffffffull || (i != 0 && value == 0)) {
-        Fail(error, "lifetime domains not strictly increasing");
-        return false;
-      }
-      result->lifetimes[i].domain = static_cast<scanner::DomainIndex>(domain);
-      prev = domain;
-    }
-    if (!ColumnConsumed(col, pos, kColLifetimeDomain, error)) return false;
+  std::vector<std::uint32_t> domains;
+  std::size_t pos = 0;
+  if (!codec::ReadAscendingIds(cols[kColLifetimeDomain], pos, n,
+                               "lifetime domain column", &domains, error) ||
+      !ColumnConsumed(cols[kColLifetimeDomain], pos, kColLifetimeDomain,
+                      error)) {
+    return false;
   }
-  {
-    ByteView col = cols[kColLifetimeDelay];
-    std::size_t pos = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t value = 0;
-      if (!ReadVarint(col, pos, value) || value > 0x7fffffffffffffffull) {
-        Fail(error, "lifetime delay column invalid");
-        return false;
-      }
-      result->lifetimes[i].max_delay = static_cast<SimTime>(value);
-    }
-    if (!ColumnConsumed(col, pos, kColLifetimeDelay, error)) return false;
-  }
-  {
-    ByteView col = cols[kColLifetimeHint];
-    std::size_t pos = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t value = 0;
-      if (!ReadVarint(col, pos, value) || value > 0xffffffffull) {
-        Fail(error, "lifetime hint column invalid");
-        return false;
-      }
-      result->lifetimes[i].lifetime_hint = static_cast<std::uint32_t>(value);
-    }
-    if (!ColumnConsumed(col, pos, kColLifetimeHint, error)) return false;
+  for (std::size_t i = 0; i < n; ++i) result->lifetimes[i].domain = domains[i];
+  if (!ReadVarintColumn(cols, kColLifetimeDelay, 0x7fffffffffffffffull,
+                        result->lifetimes, &Lifetime::max_delay, error) ||
+      !ReadVarintColumn(cols, kColLifetimeHint, 0xffffffffull,
+                        result->lifetimes, &Lifetime::lifetime_hint, error)) {
+    return false;
   }
 
   *experiment = static_cast<std::uint8_t>(exp);

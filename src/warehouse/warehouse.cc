@@ -1,107 +1,30 @@
 #include "warehouse/warehouse.h"
 
 #include "obs/prof.h"
-
-#include <charconv>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
 #include "warehouse/format.h"
 #include "warehouse/segment.h"
-#include "util/crc32.h"
-#include "util/durable.h"
 
 namespace tlsharm::warehouse {
 namespace {
+
 // Performance-plane sites (obs/prof.h): columnar encode vs durable write
 // of each day's observation segment.
 const obs::ProfSite kProfSegmentEncode("warehouse.segment.encode");
 const obs::ProfSite kProfSegmentCommit("warehouse.segment.commit");
-}  // namespace
-namespace {
 
-namespace fs = std::filesystem;
-
-std::string ObsFileName(int day) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "obs-%05d.seg", day);
-  return buf;
+bool IsExperimentKind(const std::string& kind) {
+  return ExperimentKindId(kind).has_value();
 }
 
-std::string ExpFileName(const std::string& kind) {
-  return "exp-" + kind + ".seg";
-}
-
-bool HasPrefixSuffix(const std::string& name, std::string_view prefix,
-                     std::string_view suffix) {
-  return name.size() >= prefix.size() + suffix.size() &&
-         name.compare(0, prefix.size(), prefix) == 0 &&
-         name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-             0;
-}
-
-// True for files the warehouse owns: segments, checkpoints, the manifest.
-bool IsWarehouseFile(const std::string& name) {
-  return name == kManifestName || HasPrefixSuffix(name, "obs-", ".seg") ||
-         HasPrefixSuffix(name, "exp-", ".seg") ||
-         HasPrefixSuffix(name, "ckpt-", ".bin");
-}
-
-// An interrupted atomic commit (util/durable.h) leaves `<owned file>.tmp`.
-bool IsOrphanedTmp(const std::string& name) {
-  constexpr std::string_view kTmp = ".tmp";
-  if (name.size() <= kTmp.size() ||
-      name.compare(name.size() - kTmp.size(), kTmp.size(), kTmp) != 0) {
-    return false;
-  }
-  return IsWarehouseFile(name.substr(0, name.size() - kTmp.size()));
-}
-
-bool ParseU64(std::string_view text, std::uint64_t* out) {
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
-
-bool ParseHex32(std::string_view text, std::uint32_t* out) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] = std::from_chars(
-      text.data(), text.data() + text.size(), value, /*base=*/16);
-  if (ec != std::errc() || ptr != text.data() + text.size() ||
-      value > 0xffffffffull) {
-    return false;
-  }
-  *out = static_cast<std::uint32_t>(value);
-  return true;
-}
-
-// Day index of an "obs-<day>.seg" / "ckpt-<day>.bin" name, or -1.
-int ParseDayFile(const std::string& name, std::string_view prefix,
-                 std::string_view suffix) {
-  if (!HasPrefixSuffix(name, prefix, suffix)) return -1;
-  const std::string digits =
-      name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-  if (digits.empty()) return -1;
-  std::uint64_t day = 0;
-  if (!ParseU64(digits, &day) || day > 0xffff) return -1;
-  return static_cast<int>(day);
-}
-
-std::string RenderManifestLine(const SegmentInfo& info, bool experiment) {
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), "%08x", info.crc);
-  std::ostringstream line;
-  if (experiment) {
-    line << "exp kind=" << info.kind;
-  } else {
-    line << "obs day=" << info.day;
-  }
-  line << " file=" << info.file << " rows=" << info.rows
-       << " bytes=" << info.bytes << " crc=" << crc;
-  return line.str();
-}
+const DayStoreLayout kWarehouseLayout = {
+    .name = "warehouse",
+    .manifest_header = kManifestHeader,
+    .day_tag = "obs",
+    .segment_prefix = "obs-",
+    .experiment_kind = IsExperimentKind,
+    .encode_site = &kProfSegmentEncode,
+    .commit_site = &kProfSegmentCommit,
+};
 
 }  // namespace
 
@@ -119,364 +42,59 @@ std::optional<std::uint8_t> ExperimentKindId(const std::string& kind) {
   return std::nullopt;
 }
 
-bool ReadWarehouseFile(const std::string& path, Bytes* out,
-                       std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
-  std::ostringstream content;
-  content << in.rdbuf();
-  const std::string data = content.str();
-  out->assign(data.begin(), data.end());
-  return true;
-}
-
 // --- WarehouseWriter --------------------------------------------------------
 
-WarehouseWriter::WarehouseWriter(std::string dir) : dir_(std::move(dir)) {}
-
-WarehouseWriter::~WarehouseWriter() = default;
+WarehouseWriter::WarehouseWriter(std::string dir)
+    : DayStoreWriter(kWarehouseLayout, std::move(dir)) {}
 
 std::unique_ptr<WarehouseWriter> WarehouseWriter::Create(
     const std::string& dir, std::string* error, RecoverySweep* sweep) {
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    if (error != nullptr) {
-      *error = "cannot create " + dir + ": " + ec.message();
-    }
-    return nullptr;
-  }
-  // Reset: a recording must never mix with a previous study's segments —
-  // nor with a crashed commit's orphaned temp files.
-  RecoverySweep swept;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (IsOrphanedTmp(name)) {
-      fs::remove(entry.path(), ec);
-      ++swept.tmp_files_removed;
-    } else if (IsWarehouseFile(name)) {
-      fs::remove(entry.path(), ec);
-    }
-  }
-  if (sweep != nullptr) *sweep = swept;
+  if (!ResetDirectory(kWarehouseLayout, dir, error, sweep)) return nullptr;
   return std::unique_ptr<WarehouseWriter>(new WarehouseWriter(dir));
 }
 
 std::unique_ptr<WarehouseWriter> WarehouseWriter::Resume(
     const std::string& dir, int last_day, RecoverySweep* sweep,
     std::string* error) {
-  std::optional<Warehouse> existing = Warehouse::Open(dir, error);
-  if (!existing.has_value()) return nullptr;
-
-  // Verify the committed prefix BEFORE deleting anything: a resume that
-  // cannot trust the surviving segments must fail loudly, not truncate.
   std::unique_ptr<WarehouseWriter> writer(new WarehouseWriter(dir));
-  for (const SegmentInfo& info : existing->ObservationSegments()) {
-    if (info.day > last_day) continue;
-    const std::string path = dir + "/" + info.file;
-    Bytes bytes;
-    if (!ReadWarehouseFile(path, &bytes, error)) return nullptr;
-    if (bytes.size() != info.bytes || Crc32(bytes) != info.crc) {
-      if (error != nullptr) {
-        *error = path + ": committed segment does not match manifest";
-      }
-      return nullptr;
-    }
-    writer->obs_segments_.push_back(info);
-    writer->rows_written_ += info.rows;
-    writer->bytes_written_ += info.bytes;
-  }
-
-  RecoverySweep swept;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (IsOrphanedTmp(name)) {
-      fs::remove(entry.path(), ec);
-      ++swept.tmp_files_removed;
-      continue;
-    }
-    const int obs_day = ParseDayFile(name, "obs-", ".seg");
-    if (obs_day > last_day ||
-        (obs_day < 0 && HasPrefixSuffix(name, "exp-", ".seg"))) {
-      // A partially recorded day the journal never committed, or an
-      // experiment table (rewritten when the resumed study finishes).
-      fs::remove(entry.path(), ec);
-      ++swept.stale_segments_removed;
-      continue;
-    }
-    const int ckpt_day = ParseDayFile(name, "ckpt-", ".bin");
-    if (ckpt_day > last_day) {
-      fs::remove(entry.path(), ec);
-      ++swept.stale_checkpoints_removed;
-    }
-  }
-  if (sweep != nullptr) *sweep = swept;
-
-  // Re-index exactly the committed prefix, durably.
-  if (!writer->WriteManifest()) {
-    if (error != nullptr) *error = writer->error();
-    return nullptr;
-  }
+  if (!writer->Reopen(last_day, sweep, error)) return nullptr;
   return writer;
-}
-
-void WarehouseWriter::Latch(const std::string& message) {
-  if (!ok_) return;
-  ok_ = false;
-  error_ = message;
 }
 
 void WarehouseWriter::Append(int day,
                              const scanner::HandshakeObservation& obs) {
-  if (!ok_) return;
-  if (day < 0) {
-    Latch("negative day appended");
-    return;
-  }
-  if (current_day_ == -1) {
-    if (!obs_segments_.empty() && day <= obs_segments_.back().day) {
-      Latch("append day " + std::to_string(day) + " not after day " +
-            std::to_string(obs_segments_.back().day));
-      return;
-    }
-    current_day_ = day;
-  } else if (day != current_day_) {
-    if (day < current_day_) {
-      Latch("append days must be non-decreasing");
-      return;
-    }
-    FlushDay();
-    if (!ok_) return;
-    current_day_ = day;
-  }
-  pending_.push_back(obs);
+  if (AdmitRow(day)) pending_.push_back(obs);
 }
 
-void WarehouseWriter::EndDay(int day) {
-  if (!ok_) return;
-  if (current_day_ == -1) {
-    // A scanned day with zero observations still gets its (empty) segment,
-    // so the day axis records "scanned, saw nothing".
-    if (!obs_segments_.empty() && day <= obs_segments_.back().day) {
-      Latch("EndDay " + std::to_string(day) + " out of order");
-      return;
-    }
-    current_day_ = day;
-  } else if (day != current_day_) {
-    Latch("EndDay " + std::to_string(day) + " while day " +
-          std::to_string(current_day_) + " is open");
-    return;
-  }
-  FlushDay();
-}
-
-void WarehouseWriter::FlushDay() {
-  if (!ok_ || current_day_ == -1) return;
-  const Bytes segment = [&] {
-    obs::ProfScope span(kProfSegmentEncode);
-    return EncodeObservationSegment(current_day_, pending_);
-  }();
-  SegmentInfo info;
-  info.day = current_day_;
-  info.file = ObsFileName(current_day_);
-  info.rows = pending_.size();
-  obs::ProfScope commit_span(kProfSegmentCommit);
-  if (WriteSegmentFile(info.file, segment, &info)) {
-    obs_segments_.push_back(std::move(info));
-    rows_written_ += pending_.size();
-    WriteManifest();
-  }
+Bytes WarehouseWriter::EncodeDay(int day) {
+  Bytes segment = EncodeObservationSegment(day, pending_);
   pending_.clear();
-  current_day_ = -1;
-}
-
-void WarehouseWriter::Finish() {
-  if (!ok_) return;
-  FlushDay();
-  WriteManifest();
+  return segment;
 }
 
 bool WarehouseWriter::WriteLifetime(
     const std::string& kind, const scanner::ResumptionLifetimeResult& result) {
-  if (!ok_) return false;
   const auto id = ExperimentKindId(kind);
   if (!id.has_value()) {
     Latch("unknown experiment kind \"" + kind + "\"");
     return false;
   }
-  const Bytes segment = EncodeLifetimeSegment(*id, result);
-  SegmentInfo info;
-  info.kind = kind;
-  info.file = ExpFileName(kind);
-  info.rows = result.lifetimes.size();
-  if (!WriteSegmentFile(info.file, segment, &info)) return false;
-  for (auto& existing : experiments_) {
-    if (existing.kind == kind) {
-      bytes_written_ -= existing.bytes;
-      existing = info;
-      return WriteManifest();
-    }
-  }
-  experiments_.push_back(info);
-  return WriteManifest();
-}
-
-bool WarehouseWriter::WriteSegmentFile(const std::string& name,
-                                       const Bytes& bytes,
-                                       SegmentInfo* info) {
-  info->bytes = bytes.size();
-  info->crc = Crc32(bytes);
-  const std::string path = dir_ + "/" + name;
-  std::string write_error;
-  // Atomic temp+fsync+rename commit: a crash leaves either no segment or
-  // the complete one, never a torn file the manifest could point at.
-  if (!DurableWriteFile(path, bytes, &write_error)) {
-    Latch("cannot write " + path + ": " + write_error);
-    return false;
-  }
-  bytes_written_ += bytes.size();
-  return true;
-}
-
-bool WarehouseWriter::WriteManifest() {
-  if (!ok_) return false;
-  std::ostringstream manifest;
-  manifest << kManifestHeader << "\n";
-  for (const SegmentInfo& info : obs_segments_) {
-    manifest << RenderManifestLine(info, /*experiment=*/false) << "\n";
-  }
-  for (const SegmentInfo& info : experiments_) {
-    manifest << RenderManifestLine(info, /*experiment=*/true) << "\n";
-  }
-  const std::string path = dir_ + "/" + kManifestName;
-  const std::string text = manifest.str();
-  const ByteView bytes(reinterpret_cast<const std::uint8_t*>(text.data()),
-                       text.size());
-  std::string write_error;
-  if (!DurableWriteFile(path, bytes, &write_error)) {
-    Latch("cannot write " + path + ": " + write_error);
-    return false;
-  }
-  manifest_crc_ = Crc32(bytes);
-  return true;
+  return PutExperiment(kind, EncodeLifetimeSegment(*id, result),
+                       result.lifetimes.size());
 }
 
 // --- Warehouse (reader) -----------------------------------------------------
 
 std::optional<Warehouse> Warehouse::Open(const std::string& dir,
                                          std::string* error) {
-  const std::string path = dir + "/" + kManifestName;
-  std::ifstream in(path);
-  if (!in) {
-    if (error != nullptr) *error = "no warehouse manifest at " + path;
-    return std::nullopt;
-  }
   Warehouse wh;
-  wh.dir_ = dir;
-  std::string line;
-  if (!std::getline(in, line) || line != kManifestHeader) {
-    if (error != nullptr) {
-      *error = path + ": unsupported manifest header \"" + line + "\"";
-    }
-    return std::nullopt;
-  }
-  std::size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    const std::string where = path + ":" + std::to_string(line_no);
-    std::istringstream tokens(line);
-    std::string type;
-    tokens >> type;
-    if (type != "obs" && type != "exp") {
-      if (error != nullptr) *error = where + ": unknown entry \"" + type + "\"";
-      return std::nullopt;
-    }
-    SegmentInfo info;
-    bool have_day = false, have_kind = false, have_file = false,
-         have_rows = false, have_bytes = false, have_crc = false;
-    std::string token;
-    while (tokens >> token) {
-      const std::size_t eq = token.find('=');
-      if (eq == std::string::npos) {
-        if (error != nullptr) *error = where + ": malformed token";
-        return std::nullopt;
-      }
-      const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      std::uint64_t number = 0;
-      if (key == "day" && ParseU64(value, &number) && number <= 0xffff) {
-        info.day = static_cast<int>(number);
-        have_day = true;
-      } else if (key == "kind") {
-        info.kind = value;
-        have_kind = true;
-      } else if (key == "file" && !value.empty() &&
-                 value.find('/') == std::string::npos) {
-        info.file = value;
-        have_file = true;
-      } else if (key == "rows" && ParseU64(value, &number)) {
-        info.rows = number;
-        have_rows = true;
-      } else if (key == "bytes" && ParseU64(value, &number)) {
-        info.bytes = number;
-        have_bytes = true;
-      } else if (key == "crc" && ParseHex32(value, &info.crc)) {
-        have_crc = true;
-      } else {
-        if (error != nullptr) {
-          *error = where + ": bad field \"" + token + "\"";
-        }
-        return std::nullopt;
-      }
-    }
-    if (!have_file || !have_rows || !have_bytes || !have_crc) {
-      if (error != nullptr) *error = where + ": missing fields";
-      return std::nullopt;
-    }
-    if (type == "obs") {
-      if (!have_day) {
-        if (error != nullptr) *error = where + ": obs entry without day";
-        return std::nullopt;
-      }
-      if (!wh.obs_segments_.empty() &&
-          info.day <= wh.obs_segments_.back().day) {
-        if (error != nullptr) {
-          *error = where + ": observation days not strictly increasing";
-        }
-        return std::nullopt;
-      }
-      wh.obs_segments_.push_back(std::move(info));
-    } else {
-      if (!have_kind || !ExperimentKindId(info.kind).has_value()) {
-        if (error != nullptr) *error = where + ": bad experiment kind";
-        return std::nullopt;
-      }
-      wh.experiments_.push_back(std::move(info));
-    }
-  }
+  if (!wh.Load(kWarehouseLayout, dir, error)) return std::nullopt;
   return wh;
-}
-
-int Warehouse::DayCount() const {
-  return obs_segments_.empty() ? 0 : obs_segments_.back().day + 1;
-}
-
-std::uint64_t Warehouse::TotalRows() const {
-  std::uint64_t total = 0;
-  for (const SegmentInfo& info : obs_segments_) total += info.rows;
-  return total;
 }
 
 std::uint64_t Warehouse::TotalBytes() const {
   std::uint64_t total = 0;
-  for (const SegmentInfo& info : obs_segments_) total += info.bytes;
+  for (const SegmentInfo& info : days_) total += info.bytes;
   for (const SegmentInfo& info : experiments_) total += info.bytes;
   return total;
 }
@@ -485,38 +103,15 @@ bool Warehouse::ForEachObservation(
     int day_min, int day_max,
     const std::function<void(const scanner::StoredObservation&)>& visit,
     std::string* error) const {
-  for (const SegmentInfo& info : obs_segments_) {
-    if (info.day < day_min || info.day > day_max) continue;  // pruned
-    const std::string path = dir_ + "/" + info.file;
-    Bytes bytes;
-    if (!ReadWarehouseFile(path, &bytes, error)) return false;
-    if (bytes.size() != info.bytes || Crc32(bytes) != info.crc) {
-      if (error != nullptr) {
-        *error = path + ": file does not match manifest (size/crc)";
-      }
-      return false;
-    }
-    int day = 0;
-    std::vector<scanner::HandshakeObservation> rows;
-    std::string decode_error;
-    if (!DecodeObservationSegment(bytes, &day, &rows, &decode_error)) {
-      if (error != nullptr) *error = path + ": " + decode_error;
-      return false;
-    }
-    if (day != info.day || rows.size() != info.rows) {
-      if (error != nullptr) {
-        *error = path + ": decoded day/rows disagree with manifest";
-      }
-      return false;
-    }
-    scanner::StoredObservation stored;
-    stored.day = day;
-    for (const auto& row : rows) {
-      stored.observation = row;
-      visit(stored);
-    }
-  }
-  return true;
+  scanner::StoredObservation stored;
+  return ForEachDayRow(
+      day_min, day_max, DecodeObservationSegment,
+      [&](int day, const scanner::HandshakeObservation& row) {
+        stored.day = day;
+        stored.observation = row;
+        visit(stored);
+      },
+      error);
 }
 
 bool Warehouse::HasExperiment(const std::string& kind) const {
@@ -533,13 +128,7 @@ bool Warehouse::ReadExperiment(const std::string& kind,
     if (info.kind != kind) continue;
     const std::string path = dir_ + "/" + info.file;
     Bytes bytes;
-    if (!ReadWarehouseFile(path, &bytes, error)) return false;
-    if (bytes.size() != info.bytes || Crc32(bytes) != info.crc) {
-      if (error != nullptr) {
-        *error = path + ": file does not match manifest (size/crc)";
-      }
-      return false;
-    }
+    if (!ReadSegment(dir_, info, &bytes, error)) return false;
     std::uint8_t experiment = 0;
     std::string decode_error;
     if (!DecodeLifetimeSegment(bytes, &experiment, result, &decode_error)) {

@@ -1,7 +1,9 @@
 // The observation warehouse: a directory of day-partitioned columnar
 // segments plus an index MANIFEST (format.h documents the layout). This is
 // the canonical substrate between the scanner and all analysis — scan
-// once, store compactly, re-query cheaply and incrementally.
+// once, store compactly, re-query cheaply and incrementally. It is a day
+// store (day_store.h), sharing its directory code with the capture tape;
+// only the layout, the row codec and the experiment tables are its own.
 //
 // WarehouseWriter is a scanner::StoreWriter: attach it to the scan engines
 // via ScanEngineOptions::store and each virtual day's observations become
@@ -25,33 +27,15 @@
 
 #include "scanner/experiments.h"
 #include "scanner/store.h"
+#include "warehouse/day_store.h"
 
 namespace tlsharm::warehouse {
-
-struct SegmentInfo {
-  int day = 0;             // observation segments
-  std::string kind;        // experiment tables: "session_id" | "ticket"
-  std::string file;        // name within the warehouse directory
-  std::uint64_t rows = 0;
-  std::uint64_t bytes = 0;
-  std::uint32_t crc = 0;   // CRC-32 of the whole file
-};
 
 // Experiment-kind names <-> segment experiment ids (format.h).
 const char* ExperimentKindName(std::uint8_t experiment);
 std::optional<std::uint8_t> ExperimentKindId(const std::string& kind);
 
-// What a writer swept while preparing its directory — orphaned temp files
-// from interrupted atomic commits, plus (on resume) segments and fold
-// checkpoints beyond the last committed day. Surfaced as the
-// campaign.recovery.* counters so operators can see a crash left debris.
-struct RecoverySweep {
-  std::uint64_t tmp_files_removed = 0;
-  std::uint64_t stale_segments_removed = 0;
-  std::uint64_t stale_checkpoints_removed = 0;
-};
-
-class WarehouseWriter : public scanner::StoreWriter {
+class WarehouseWriter : public scanner::StoreWriter, public DayStoreWriter {
  public:
   // Creates (or resets) the warehouse directory: a stale MANIFEST, any
   // previous segment/checkpoint files, and orphaned `*.tmp` files from an
@@ -80,70 +64,35 @@ class WarehouseWriter : public scanner::StoreWriter {
   // scanner::StoreWriter: buffers the current day's rows, writes one
   // segment per completed day. Append days must be non-decreasing.
   void Append(int day, const scanner::HandshakeObservation& obs) override;
-  void EndDay(int day) override;
-  void Finish() override;  // flushes a pending day; idempotent
+  void EndDay(int day) override { CloseDay(day); }
+  void Finish() override { CloseStudy(); }  // flushes a pending day; idempotent
 
   // Stores a lifetime-experiment table (kind "session_id" or "ticket"),
   // replacing any previous table of the same kind.
   bool WriteLifetime(const std::string& kind,
                      const scanner::ResumptionLifetimeResult& result);
 
-  // I/O or contract violations latch: once ok() is false, the warehouse on
-  // disk must not be trusted and error() says why.
-  bool ok() const { return ok_; }
-  const std::string& error() const { return error_; }
-
-  std::uint64_t RowsWritten() const { return rows_written_; }
-  std::uint64_t BytesWritten() const { return bytes_written_; }
-  // Committed observation segments so far (one per ended day).
-  std::uint64_t SegmentsWritten() const { return obs_segments_.size(); }
-  // CRC-32 of the MANIFEST bytes last written — the digest the campaign
-  // journal records at each day commit and re-verifies on resume.
-  std::uint32_t ManifestCrc() const { return manifest_crc_; }
-
-  ~WarehouseWriter() override;
-
  private:
   explicit WarehouseWriter(std::string dir);
+  Bytes EncodeDay(int day) override;
 
-  void FlushDay();
-  // Writes the segment and fills info->bytes / info->crc from the bytes.
-  bool WriteSegmentFile(const std::string& name, const Bytes& bytes,
-                        SegmentInfo* info);
-  bool WriteManifest();
-  void Latch(const std::string& message);
-
-  std::string dir_;
-  int current_day_ = -1;  // day being buffered; -1 = none yet
   std::vector<scanner::HandshakeObservation> pending_;
-  std::vector<SegmentInfo> obs_segments_;
-  std::vector<SegmentInfo> experiments_;
-  std::uint64_t rows_written_ = 0;
-  std::uint64_t bytes_written_ = 0;
-  std::uint32_t manifest_crc_ = 0;
-  bool ok_ = true;
-  std::string error_;
 };
 
-class Warehouse {
+class Warehouse : public DayStoreReader {
  public:
   // Opens an existing warehouse by parsing its MANIFEST (segment files are
   // validated lazily, on read). nullopt with `error` set on failure.
   static std::optional<Warehouse> Open(const std::string& dir,
                                        std::string* error);
 
-  const std::string& Directory() const { return dir_; }
   const std::vector<SegmentInfo>& ObservationSegments() const {
-    return obs_segments_;
+    return days_;
   }
   const std::vector<SegmentInfo>& Experiments() const {
     return experiments_;
   }
 
-  // Days covered: observation segments are day-ordered; DayCount is
-  // last day + 1 (0 when empty).
-  int DayCount() const;
-  std::uint64_t TotalRows() const;
   std::uint64_t TotalBytes() const;  // segment files, manifest excluded
 
   // Streams every stored observation with day in [day_min, day_max], in
@@ -162,14 +111,6 @@ class Warehouse {
 
  private:
   Warehouse() = default;
-
-  std::string dir_;
-  std::vector<SegmentInfo> obs_segments_;
-  std::vector<SegmentInfo> experiments_;
 };
-
-// Reads a whole file into `out`; false + `error` when unreadable.
-bool ReadWarehouseFile(const std::string& path, Bytes* out,
-                       std::string* error);
 
 }  // namespace tlsharm::warehouse

@@ -6,7 +6,8 @@
 // byte against a crash-free golden run.
 //
 // Usage: crash_campaign_runner <dir> <days> <population> <seed> <threads>
-//                              <resume 0|1>
+//                              <resume 0|1> <record 0|1>
+// (record 1 also records the capture tape under <dir>/capture.)
 // Exit codes: 0 success, 2 usage/campaign error (message on stderr);
 // crash injection terminates with _exit(137) before any output.
 #include <cinttypes>
@@ -20,10 +21,10 @@
 using namespace tlsharm;
 
 int main(int argc, char** argv) {
-  if (argc != 7) {
+  if (argc != 8) {
     std::fprintf(stderr,
                  "usage: %s <dir> <days> <population> <seed> <threads> "
-                 "<resume 0|1>\n",
+                 "<resume 0|1> <record 0|1>\n",
                  argv[0]);
     return 2;
   }
@@ -33,6 +34,7 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = std::strtoull(argv[4], nullptr, 10);
   const int threads = std::atoi(argv[5]);
   const bool resume = std::atoi(argv[6]) != 0;
+  const bool record = std::atoi(argv[7]) != 0;
   if (days <= 0 || population <= 0 || threads <= 0) {
     std::fprintf(stderr, "bad arguments\n");
     return 2;
@@ -50,6 +52,7 @@ int main(int argc, char** argv) {
   spec.seed = seed;
   spec.threads = threads;
   spec.resume = resume;
+  spec.record_captures = record;
   spec.robustness.retry.max_attempts = 3;
   spec.world_digest = kWorldSeed ^ (static_cast<std::uint64_t>(population)
                                     << 20);

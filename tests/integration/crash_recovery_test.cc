@@ -23,7 +23,15 @@
 //   +19..21 journal day-committed
 //
 // preceded by 3 barriers for the initial journal write and followed by 3
-// for the final manifest rewrite in Finish().
+// for the final manifest rewrite in Finish(). A recorded campaign (capture
+// tape on) commits the tape's day between the warehouse MANIFEST and the
+// fold checkpoint, so a recorded day passes 27 barriers:
+//
+//   +10..12 tape segment write
+//   +13..15 tape MANIFEST update
+//   +16..27 fold checkpoint, state, metrics.json, journal day-committed
+//
+// and the tape's final MANIFEST rewrite adds 3 more per study.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -64,14 +72,15 @@ std::string RunnerPath() {
 
 // Runs the campaign runner; `crash_after` > 0 arms the injection knob.
 RunOutcome RunCampaign(const std::string& dir, int threads, bool resume,
-                       long crash_after) {
+                       long crash_after, bool record = false) {
   std::string cmd;
   if (crash_after > 0) {
     cmd += "TLSHARM_CRASH_AFTER=" + std::to_string(crash_after) + " ";
   }
   cmd += RunnerPath() + " " + dir + " " + std::to_string(kDays) + " " +
          std::to_string(kPopulation) + " " + std::to_string(kSeed) + " " +
-         std::to_string(threads) + " " + (resume ? "1" : "0") + " 2>&1";
+         std::to_string(threads) + " " + (resume ? "1" : "0") + " " +
+         (record ? "1" : "0") + " 2>&1";
   RunOutcome outcome;
   FILE* pipe = popen(cmd.c_str(), "r");
   if (pipe == nullptr) return outcome;
@@ -143,18 +152,25 @@ class CrashRecoveryTest : public ::testing::Test {
 
   std::string Dir(const std::string& name) { return root_ / name; }
 
-  // Crash at barrier `n` (any thread count), resume, compare to golden.
-  void CrashResumeCompare(const std::string& name, long n, int crash_threads,
-                          int resume_threads) {
+  // Crash at barrier `n` (any thread count), resume, compare to golden
+  // (to `recorded_golden` for a campaign that records the capture tape).
+  void CrashResumeCompare(
+      const std::string& name, long n, int crash_threads, int resume_threads,
+      const std::map<std::string, std::string>* recorded_golden = nullptr,
+      std::string* resume_output = nullptr) {
+    const bool record = recorded_golden != nullptr;
     const std::string dir = Dir(name);
-    const RunOutcome crashed = RunCampaign(dir, crash_threads, false, n);
+    const RunOutcome crashed =
+        RunCampaign(dir, crash_threads, false, n, record);
     ASSERT_EQ(crashed.exit_code, 137)
         << name << " at barrier " << n << ": " << crashed.output;
-    const RunOutcome resumed = RunCampaign(dir, resume_threads, true, 0);
+    const RunOutcome resumed =
+        RunCampaign(dir, resume_threads, true, 0, record);
     ASSERT_EQ(resumed.exit_code, 0)
         << name << " resume after barrier " << n << ": " << resumed.output;
-    ExpectTreesEqual(golden_tree_, SnapshotTree(dir),
-                     name + "@" + std::to_string(n));
+    ExpectTreesEqual(record ? *recorded_golden : golden_tree_,
+                     SnapshotTree(dir), name + "@" + std::to_string(n));
+    if (resume_output != nullptr) *resume_output = resumed.output;
   }
 
   fs::path root_;
@@ -182,6 +198,35 @@ TEST_F(CrashRecoveryTest, LadderCoversEveryCommitClassByteIdentically) {
   for (const long n : ladder) {
     CrashResumeCompare("ladder" + std::to_string(i++), n, 1, 1);
   }
+}
+
+TEST_F(CrashRecoveryTest, RecordedLadderResumesTheTapeByteIdentically) {
+  // Kill a recorded campaign inside the middle day's tape segment write,
+  // inside its tape MANIFEST update, and at the very last barrier (the
+  // tape's final MANIFEST rewrite); each resume reopens the tape and must
+  // rebuild the whole tree, capture/ included.
+  const std::string golden_dir = Dir("recorded-golden");
+  const RunOutcome golden = RunCampaign(golden_dir, 1, false, 0, true);
+  ASSERT_EQ(golden.exit_code, 0) << golden.output;
+  const std::uint64_t barriers = ParseField(golden.output, "barriers");
+  const std::uint64_t per_day = (barriers - 9) / kDays;
+  ASSERT_EQ(per_day, 27u) << "barrier layout changed; update the table";
+  ASSERT_EQ(barriers, 9 + per_day * kDays)
+      << "barrier layout changed; update the ladder offsets";
+  const auto recorded_tree = SnapshotTree(golden_dir);
+  ASSERT_TRUE(recorded_tree.count("capture/MANIFEST"));
+  ASSERT_TRUE(recorded_tree.count("capture/capture-00002.seg"));
+
+  const long day1 = static_cast<long>(3 + per_day);  // base of study day 1
+  std::string output;
+  CrashResumeCompare("recorded-segment", day1 + 10, 1, 1, &recorded_tree);
+  // Both day-1 segments are durable but the journal never committed day 1:
+  // the warehouse and the tape each drop theirs on resume.
+  CrashResumeCompare("recorded-manifest", day1 + 13, 1, 1, &recorded_tree,
+                     &output);
+  EXPECT_EQ(ParseField(output, "stale_seg"), 2u) << output;
+  CrashResumeCompare("recorded-last", static_cast<long>(barriers), 1, 1,
+                     &recorded_tree);
 }
 
 TEST_F(CrashRecoveryTest, ResumeIsByteIdenticalAcrossThreadCounts) {
@@ -247,7 +292,7 @@ class CampaignTest : public ::testing::Test {
   // One-day campaign on a freshly built world.
   static bool Run(const std::string& dir, bool resume,
                   tlsharm::campaign::CampaignResult* result,
-                  std::string* error) {
+                  std::string* error, bool record = false) {
     tlsharm::simnet::Internet net(
         tlsharm::simnet::PaperPopulationSpec(kPopulation), kSeed);
     tlsharm::campaign::CampaignSpec spec;
@@ -255,6 +300,7 @@ class CampaignTest : public ::testing::Test {
     spec.days = 1;
     spec.seed = kSeed;
     spec.resume = resume;
+    spec.record_captures = record;
     return tlsharm::campaign::RunCampaign(net, spec, result, error);
   }
 
@@ -312,6 +358,37 @@ TEST_F(CampaignTest, RefusesAVersionOneJournalAndChangesNothing) {
   error.clear();
   EXPECT_FALSE(Run(dir, true, &result, &error));
   EXPECT_NE(error.find("unsupported runlog version"), std::string::npos)
+      << error;
+  EXPECT_EQ(SnapshotTree(dir), tree);
+}
+
+// Recording is part of a campaign's identity when on: resuming with the
+// tape flipped either way is a different configuration, refused before any
+// file changes (starting a tape mid-study would hold only the resumed days;
+// dropping one would delete its committed days).
+TEST_F(CampaignTest, RefusesToStartRecordingOnResume) {
+  const std::string dir = Dir("start-recording");
+  tlsharm::campaign::CampaignResult result;
+  std::string error;
+  ASSERT_TRUE(Run(dir, false, &result, &error)) << error;
+  const auto tree = SnapshotTree(dir);
+
+  EXPECT_FALSE(Run(dir, true, &result, &error, /*record=*/true));
+  EXPECT_NE(error.find("different campaign configuration"), std::string::npos)
+      << error;
+  EXPECT_EQ(SnapshotTree(dir), tree);
+}
+
+TEST_F(CampaignTest, RefusesToDropRecordingOnResume) {
+  const std::string dir = Dir("drop-recording");
+  tlsharm::campaign::CampaignResult result;
+  std::string error;
+  ASSERT_TRUE(Run(dir, false, &result, &error, /*record=*/true)) << error;
+  const auto tree = SnapshotTree(dir);
+  ASSERT_TRUE(tree.count("capture/capture-00000.seg"));
+
+  EXPECT_FALSE(Run(dir, true, &result, &error));
+  EXPECT_NE(error.find("different campaign configuration"), std::string::npos)
       << error;
   EXPECT_EQ(SnapshotTree(dir), tree);
 }

@@ -1,7 +1,8 @@
 // WarehouseWriter / Warehouse directory-level behavior: the StoreWriter
-// contract (day segments close on EndDay, days non-decreasing), manifest
-// integrity, day-range pruning, experiment tables, and directory reset on
-// Create.
+// contract (day segments close on EndDay, days non-decreasing), day-range
+// pruning and experiment tables. The directory contract both day stores
+// share (reset on Create, manifest integrity, header refusal, the resume
+// sweep) runs over the warehouse and the tape in day_store_test.cc.
 #include "warehouse/warehouse.h"
 
 #include <gtest/gtest.h>
@@ -146,74 +147,6 @@ TEST(WarehouseWriterTest, AutoFlushOnDayChangeMatchesExplicitEndDay) {
         << error;
     EXPECT_EQ(a, b) << file << " differs";
   }
-}
-
-TEST(WarehouseWriterTest, CreateResetsStaleFiles) {
-  const std::string dir = FreshDir("reset");
-  std::string error;
-  {
-    auto writer = WarehouseWriter::Create(dir, &error);
-    ASSERT_NE(writer, nullptr) << error;
-    for (int day = 0; day < 3; ++day) {
-      writer->Append(day, Obs(1));
-      writer->EndDay(day);
-    }
-    writer->Finish();
-    ASSERT_TRUE(writer->ok()) << writer->error();
-  }
-  {
-    // A shorter re-recording must not leave day-2 leftovers behind.
-    auto writer = WarehouseWriter::Create(dir, &error);
-    ASSERT_NE(writer, nullptr) << error;
-    writer->Append(0, Obs(2));
-    writer->EndDay(0);
-    writer->Finish();
-    ASSERT_TRUE(writer->ok()) << writer->error();
-  }
-  EXPECT_FALSE(std::filesystem::exists(dir + "/obs-00002.seg"));
-  const auto wh = Warehouse::Open(dir, &error);
-  ASSERT_TRUE(wh.has_value()) << error;
-  EXPECT_EQ(wh->DayCount(), 1);
-  EXPECT_EQ(wh->TotalRows(), 1u);
-}
-
-TEST(WarehouseTest, ManifestTamperingIsDetected) {
-  const std::string dir = FreshDir("tamper");
-  std::string error;
-  auto writer = WarehouseWriter::Create(dir, &error);
-  ASSERT_NE(writer, nullptr) << error;
-  writer->Append(0, Obs(1));
-  writer->EndDay(0);
-  writer->Finish();
-  ASSERT_TRUE(writer->ok()) << writer->error();
-
-  // Rewrite the segment with one corrupt byte; the manifest CRC must veto
-  // it before the segment decoder even runs.
-  Bytes segment;
-  ASSERT_TRUE(ReadWarehouseFile(dir + "/obs-00000.seg", &segment, &error));
-  segment[segment.size() / 2] ^= 0x01;
-  std::ofstream out(dir + "/obs-00000.seg",
-                    std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(segment.data()),
-            static_cast<std::streamsize>(segment.size()));
-  out.close();
-
-  const auto wh = Warehouse::Open(dir, &error);
-  ASSERT_TRUE(wh.has_value()) << error;
-  EXPECT_FALSE(wh->ForEachObservation(
-      0, 0, [](const scanner::StoredObservation&) {}, &error));
-  EXPECT_NE(error.find("manifest"), std::string::npos) << error;
-}
-
-TEST(WarehouseTest, UnsupportedManifestHeaderIsRejected) {
-  const std::string dir = FreshDir("header");
-  std::filesystem::create_directories(dir);
-  std::ofstream out(dir + "/MANIFEST");
-  out << "tlsharm-warehouse 999\n";
-  out.close();
-  std::string error;
-  EXPECT_FALSE(Warehouse::Open(dir, &error).has_value());
-  EXPECT_NE(error.find("header"), std::string::npos) << error;
 }
 
 TEST(WarehouseTest, LifetimeTablesRoundTrip) {
