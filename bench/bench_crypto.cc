@@ -2,7 +2,9 @@
 //
 // Times the primitives the probe hot path lives in — fixed-base and
 // variable-base modular exponentiation, Schnorr sign/verify, the TLS 1.2
-// PRF, the HMAC-DRBG — and a full end-to-end probe loop, each once with
+// PRF, the HMAC-DRBG, SHA-256 and AES-128-CBC ticket decryption (the
+// SHA-NI / AES-NI kernels on CPUs that have them) — and a full end-to-end
+// probe loop, each once with
 // the naive reference implementations (TLSHARM_REFERENCE_CRYPTO semantics,
 // toggled in-process via crypto::SetReferenceCrypto) and once with the
 // optimized paths. Every pair of runs is differentially checked: the
@@ -10,7 +12,8 @@
 // identical observations. Results land in BENCH_crypto.json.
 //
 // `--selftest` runs the same differential checks at reduced iteration
-// counts and skips the JSON report — the CI sanitizer gate.
+// counts and skips the JSON report — the CI sanitizer gate. Both modes
+// print which kernels the optimized side ran (crypto::ActiveCryptoKernels).
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -18,12 +21,14 @@
 #include <vector>
 
 #include "common.h"
+#include "crypto/aes128.h"
 #include "crypto/biguint.h"
 #include "crypto/drbg.h"
 #include "crypto/ffdh.h"
 #include "crypto/hmac.h"
 #include "crypto/prf.h"
 #include "crypto/schnorr.h"
+#include "crypto/sha256.h"
 #include "crypto/tuning.h"
 #include "scanner/prober.h"
 #include "simnet/internet.h"
@@ -282,6 +287,61 @@ void BenchPrfDrbg(bench::JsonReport* report, int iters) {
   }
 }
 
+// --- SHA-256 and AES-128-CBC (the hardware-kernel primitives) -------------
+
+void BenchShaAes(bench::JsonReport* report, int iters) {
+  crypto::Drbg drbg(Bytes{'k', 'e', 'r', 'n', 'e', 'l'});
+  // The first 8 digest bytes of every iteration, folded, so the check
+  // covers each timed call and not only the last.
+  const auto fold = [](std::uint64_t acc, const crypto::Sha256Digest& d) {
+    for (int i = 0; i < 8; ++i) acc = acc * 131 + d[i];
+    return acc;
+  };
+  double sha_us[2][2] = {};  // [message][reference, optimized]
+  const std::size_t sizes[2] = {64, 1024};
+  for (int m = 0; m < 2; ++m) {
+    Bytes msg = drbg.Generate(sizes[m]);
+    std::uint64_t acc[2] = {0, 0};
+    for (int mode = 0; mode < 2; ++mode) {
+      crypto::SetReferenceCrypto(mode == 0);
+      sha_us[m][mode] = UsPerOp(iters, [&](int i) {
+        msg[0] = static_cast<std::uint8_t>(i);
+        acc[mode] = fold(acc[mode], crypto::Sha256Hash(msg));
+      });
+    }
+    Check(acc[0] == acc[1], m == 0 ? "SHA-256 (64B) reference vs optimized"
+                                   : "SHA-256 (1KiB) reference vs optimized");
+  }
+
+  // An RFC 5077 ticket body: the 59-byte serialized session state, 64 bytes
+  // once padded, decrypted under a STEK's pre-expanded cipher.
+  const crypto::Aes128 cipher(crypto::ToAesKey(drbg.Generate(16)));
+  const crypto::AesBlock iv = crypto::ToAesBlock(drbg.Generate(16));
+  const Bytes state = drbg.Generate(59);
+  Bytes ct[2];
+  std::optional<Bytes> pt[2];
+  double aes_us[2] = {};
+  for (int mode = 0; mode < 2; ++mode) {
+    crypto::SetReferenceCrypto(mode == 0);
+    ct[mode] = crypto::Aes128CbcEncrypt(cipher, iv, state);
+    aes_us[mode] = UsPerOp(iters, [&](int) {
+      pt[mode] = crypto::Aes128CbcDecrypt(cipher, iv, ct[mode]);
+    });
+  }
+  Check(ct[0] == ct[1], "AES-128-CBC encrypt reference vs optimized");
+  Check(pt[0] == pt[1] && pt[1] == state,
+        "AES-128-CBC ticket decrypt reference vs optimized");
+
+  PrintSpeedup("SHA-256 (64B message)", sha_us[0][0], sha_us[0][1]);
+  PrintSpeedup("SHA-256 (1KiB message)", sha_us[1][0], sha_us[1][1]);
+  PrintSpeedup("AES-128-CBC ticket decrypt (64B)", aes_us[0], aes_us[1]);
+  if (report != nullptr) {
+    ReportPair(*report, "sha256_64b", sha_us[0][0], sha_us[0][1]);
+    ReportPair(*report, "sha256_1kib", sha_us[1][0], sha_us[1][1]);
+    ReportPair(*report, "aes_cbc_ticket_decrypt", aes_us[0], aes_us[1]);
+  }
+}
+
 // --- end-to-end probe loop -------------------------------------------------
 
 struct ProbeLoopResult {
@@ -355,8 +415,14 @@ int main(int argc, char** argv) {
   const int days = g_selftest ? 2 : 3;
 
   std::printf("== crypto hot paths: reference vs optimized ==\n");
+  // Every pair sets the mode itself, so name the kernels the optimized
+  // side runs whatever TLSHARM_REFERENCE_CRYPTO says.
+  crypto::SetReferenceCrypto(false);
+  std::printf("optimized crypto kernels: %s\n",
+              crypto::ActiveCryptoKernels().c_str());
 
   bench::JsonReport report("crypto");
+  report.AddString("kernels", crypto::ActiveCryptoKernels());
 
   const ModexpResult m61 = BenchModexpGroup(crypto::FfdhSim61Params(), iters);
   const ModexpResult m256 =
@@ -386,6 +452,7 @@ int main(int argc, char** argv) {
              s256.verify_opt_us);
 
   BenchPrfDrbg(g_selftest ? nullptr : &report, iters * 4);
+  BenchShaAes(g_selftest ? nullptr : &report, iters * 4);
 
   // Full probe loop: the end-to-end number the 1.5x target applies to.
   const ProbeLoopResult probe_ref = RunProbeLoop(true, population, days);

@@ -4,7 +4,8 @@
 // Every bench accepts two environment knobs:
 //   TLSHARM_POPULATION — simulated Top-N list size (default 20,000)
 //   TLSHARM_DAYS       — study length in days (default 63, the paper's 9
-//                        weeks)
+//                        weeks); a value that is not a whole number in
+//                        2..63 exits 2 (the rule of examples/study_days.h)
 // Absolute paper counts are compared after scaling by population/1M.
 #pragma once
 
@@ -17,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "../examples/study_days.h"
 #include "simnet/internet.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -24,11 +26,9 @@
 namespace tlsharm::bench {
 
 inline int StudyDays() {
-  if (const char* env = std::getenv("TLSHARM_DAYS")) {
-    const int days = std::atoi(env);
-    if (days >= 2 && days <= 63) return days;
-  }
-  return 63;
+  const int days = examples::StudyDaysFromEnv(63, /*min_days=*/2);
+  if (days < 0) std::exit(2);
+  return days;
 }
 
 inline std::uint64_t StudySeed() { return 20160302; }

@@ -116,11 +116,13 @@ done
 echo "campaign warehouse -> text -> warehouse is the identity"
 
 # Perf-correctness gate: the optimized crypto paths (windowed modexp,
-# midstate HMAC/PRF, cross-probe memoization) must be observably identical
-# to the naive reference implementations. Run the instrumented study both
-# ways and diff every deterministic line of telemetry, then let
-# bench_crypto's built-in differential harness cross-check each path pair
-# (including a probe-loop observation digest).
+# midstate HMAC/PRF, cross-probe memoization, the SHA-NI / AES-NI kernels)
+# must be observably identical to the naive reference implementations. Run
+# the instrumented study both ways and diff every deterministic line of
+# telemetry, then let bench_crypto's built-in differential harness
+# cross-check each path pair (including a probe-loop observation digest).
+# The adversary-plane step below repeats the comparison on a recorded
+# campaign and its harm analysis.
 echo "== perf-correctness: reference vs optimized crypto =="
 TLSHARM_REFERENCE_CRYPTO=1 "${tlsharm}" stats > "${whdir}/stats-ref.txt"
 "${tlsharm}" stats > "${whdir}/stats-opt.txt"
@@ -190,7 +192,8 @@ if [[ "${status}" -ne 2 ]]; then
 fi
 # An argument `tlsharm stats` does not know, or a dangling --warehouse,
 # prints the usage (exit 2) before any study runs or directory is written;
-# so does a TLSHARM_DAYS that is not a whole number in 1..63.
+# so does a TLSHARM_DAYS that is not a whole number in 1..63 (2..63 for the
+# benches).
 status=0
 "${tlsharm}" stats --warehuose "${whdir}/stats-typo" > /dev/null 2>&1 \
   || status=$?
@@ -205,7 +208,9 @@ if [[ "${status}" -ne 2 ]]; then
   echo "FAIL: a dangling stats --warehouse exited ${status}, not 2 (usage)"
   exit 1
 fi
-for tool in "${repo}/build/examples/fleet_survey" "${tlsharm} prof --scan"; do
+fig1="${repo}/build/bench/bench_fig1_session_id_lifetime"
+for tool in "${repo}/build/examples/fleet_survey" "${tlsharm} prof --scan" \
+            "${fig1}"; do
   status=0
   TLSHARM_DAYS=3x ${tool} > /dev/null 2>&1 || status=$?
   if [[ "${status}" -ne 2 ]]; then
@@ -213,6 +218,13 @@ for tool in "${repo}/build/examples/fleet_survey" "${tlsharm} prof --scan"; do
     exit 1
   fi
 done
+# The benches need at least two days; one is refused, not run as 63.
+status=0
+TLSHARM_DAYS=1 "${fig1}" > /dev/null 2>&1 || status=$?
+if [[ "${status}" -ne 2 ]]; then
+  echo "FAIL: TLSHARM_DAYS=1 ${fig1} exited ${status}, not 2"
+  exit 1
+fi
 rec_wh="${whdir}/camp-rec/warehouse"
 "${tlsharm}" query summary "${rec_wh}" > "${whdir}/summary.txt"
 "${tlsharm}" query group-by day "${rec_wh}" > /dev/null
@@ -224,6 +236,25 @@ if [[ -z "${observations}" || "${counted}" != "${observations}" ]]; then
   exit 1
 fi
 echo "harm curve/explain, world refusal, usage exits and queries behave"
+# Perf-correctness on the adversary path: the same recorded campaign,
+# harm curve and explain, run on the portable reference crypto, must match
+# the optimized run byte for byte: the journal, every warehouse and
+# capture segment, both MANIFESTs, curve.jsonl and the explain text. This
+# checks the SHA-NI hashing behind every recorded byte and the AES-NI
+# ticket decryption in the adversary's snapshot replay against the
+# portable code, which the stats diff above never reaches.
+echo "== perf-correctness: reference vs optimized crypto on the adversary path =="
+TLSHARM_REFERENCE_CRYPTO=1 TLSHARM_POPULATION=1200 TLSHARM_DAYS=2 \
+  "${repo}/build/examples/fleet_survey" \
+  --campaign "${whdir}/camp-rec-ref" --record > /dev/null
+TLSHARM_REFERENCE_CRYPTO=1 TLSHARM_POPULATION=1200 "${tlsharm}" harm curve \
+  "${whdir}/camp-rec-ref" 424242 > "${whdir}/curve-ref.jsonl" 2>/dev/null
+TLSHARM_REFERENCE_CRYPTO=1 TLSHARM_POPULATION=1200 "${tlsharm}" harm explain \
+  netflix.com 1 "${whdir}/camp-rec-ref" 424242 > "${whdir}/explain-ref.txt"
+diff -r "${whdir}/camp-rec" "${whdir}/camp-rec-ref"
+cmp "${whdir}/curve.jsonl" "${whdir}/curve-ref.jsonl"
+cmp "${whdir}/explain.txt" "${whdir}/explain-ref.txt"
+echo "reference and optimized crypto record, fold and explain identically"
 echo "== adversary plane: capture-overhead budget =="
 (cd "${whdir}" && TLSHARM_POPULATION=4000 TLSHARM_DAYS=3 TLSHARM_BENCH_REPS=1 \
   "${repo}/build/bench/bench_harm")

@@ -3,6 +3,13 @@
 #include <algorithm>
 
 namespace tlsharm::analysis {
+namespace {
+
+// Domain indices come from the simulated Internet's roster; a state naming
+// a larger one is corrupt, and would size the slot table past reason.
+constexpr std::uint64_t kMaxDomainIndex = 1u << 28;
+
+}  // namespace
 
 void SpanTracker::Fold(DomainState& state, int day) const {
   // Retire entries that can no longer recur (outside the horizon).
@@ -19,9 +26,24 @@ void SpanTracker::Fold(DomainState& state, int day) const {
   }
 }
 
+SpanTracker::DomainState& SpanTracker::FindOrAdd(DomainIndex domain) {
+  if (domain >= slot_of_.size()) slot_of_.resize(domain + std::size_t{1}, 0);
+  std::uint32_t& slot = slot_of_[domain];
+  if (slot == 0) {
+    states_.emplace_back();
+    slot = static_cast<std::uint32_t>(states_.size());
+  }
+  return states_[slot - 1];
+}
+
+const SpanTracker::DomainState* SpanTracker::Find(DomainIndex domain) const {
+  if (domain >= slot_of_.size() || slot_of_[domain] == 0) return nullptr;
+  return &states_[slot_of_[domain] - 1];
+}
+
 void SpanTracker::Observe(DomainIndex domain, SecretId id, int day) {
   if (id == scanner::kNoSecret) return;
-  DomainState& state = domains_[domain];
+  DomainState& state = FindOrAdd(domain);
   if (day != state.last_day_counted) {
     state.last_day_counted = day;
     ++state.days_observed;
@@ -38,14 +60,14 @@ void SpanTracker::Observe(DomainIndex domain, SecretId id, int day) {
 }
 
 bool SpanTracker::EverObserved(DomainIndex domain) const {
-  return domains_.count(domain) != 0;
+  return Find(domain) != nullptr;
 }
 
 int SpanTracker::MaxSpanDays(DomainIndex domain) const {
-  const auto it = domains_.find(domain);
-  if (it == domains_.end()) return 0;
-  int best = it->second.best;
-  for (const Entry& entry : it->second.live) {
+  const DomainState* state = Find(domain);
+  if (state == nullptr) return 0;
+  int best = state->best;
+  for (const Entry& entry : state->live) {
     best = std::max(best, static_cast<int>(entry.last) -
                               static_cast<int>(entry.first) + 1);
   }
@@ -53,31 +75,27 @@ int SpanTracker::MaxSpanDays(DomainIndex domain) const {
 }
 
 int SpanTracker::DaysObserved(DomainIndex domain) const {
-  const auto it = domains_.find(domain);
-  return it == domains_.end() ? 0 : it->second.days_observed;
+  const DomainState* state = Find(domain);
+  return state == nullptr ? 0 : state->days_observed;
 }
 
 std::vector<std::pair<DomainIndex, int>> SpanTracker::AllSpans() const {
   std::vector<std::pair<DomainIndex, int>> out;
-  out.reserve(domains_.size());
-  for (const auto& [domain, state] : domains_) {
-    out.emplace_back(domain, MaxSpanDays(domain));
+  out.reserve(states_.size());
+  for (DomainIndex domain = 0; domain < slot_of_.size(); ++domain) {
+    if (slot_of_[domain] != 0) out.emplace_back(domain, MaxSpanDays(domain));
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 void SpanTracker::EncodeState(Bytes& out) const {
   AppendVarint(out, static_cast<std::uint64_t>(horizon_));
-  AppendVarint(out, domains_.size());
-  // Emit domains sorted so the encoding is a pure function of the tracked
-  // state, not of unordered_map iteration order.
-  std::vector<DomainIndex> order;
-  order.reserve(domains_.size());
-  for (const auto& [domain, state] : domains_) order.push_back(domain);
-  std::sort(order.begin(), order.end());
-  for (const DomainIndex domain : order) {
-    const DomainState& state = domains_.at(domain);
+  AppendVarint(out, states_.size());
+  // Domains in index order, so the encoding is a pure function of the
+  // tracked state, not of the order domains were first observed in.
+  for (DomainIndex domain = 0; domain < slot_of_.size(); ++domain) {
+    if (slot_of_[domain] == 0) continue;
+    const DomainState& state = states_[slot_of_[domain] - 1];
     AppendVarint(out, domain);
     AppendVarint(out, static_cast<std::uint64_t>(state.best));
     AppendVarint(out, static_cast<std::uint64_t>(state.days_observed));
@@ -100,7 +118,8 @@ bool SpanTracker::DecodeState(ByteView in, std::size_t& off) {
   }
   if (horizon > 0xffff || count > in.size()) return false;
   horizon_ = static_cast<int>(horizon);
-  domains_.clear();
+  states_.clear();
+  slot_of_.clear();
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t domain = 0, best = 0, days = 0, last_counted = 0, live = 0;
     if (!ReadVarint(in, off, domain) || !ReadVarint(in, off, best) ||
@@ -108,11 +127,11 @@ bool SpanTracker::DecodeState(ByteView in, std::size_t& off) {
         !ReadVarint(in, off, live)) {
       return false;
     }
-    if (domain > 0xffffffffull || best > 0xffff || days > 0xffff ||
+    if (domain >= kMaxDomainIndex || best > 0xffff || days > 0xffff ||
         last_counted > 0x10000 || live > in.size()) {
       return false;
     }
-    DomainState& state = domains_[static_cast<DomainIndex>(domain)];
+    DomainState& state = FindOrAdd(static_cast<DomainIndex>(domain));
     state.best = static_cast<int>(best);
     state.days_observed = static_cast<int>(days);
     state.last_day_counted = static_cast<int>(last_counted) - 1;

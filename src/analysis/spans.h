@@ -8,7 +8,7 @@
 // per-domain running maximum.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "scanner/observation.h"
@@ -40,9 +40,7 @@ class SpanTracker {
   int DaysObserved(DomainIndex domain) const;
 
   // The per-domain maximum spans for every observed domain, sorted by
-  // DomainIndex. The internal map is unordered, so without the sort the
-  // output order would vary across standard libraries — and every report
-  // built on it would stop being byte-stable.
+  // DomainIndex, so every report built on it is byte-stable.
   std::vector<std::pair<DomainIndex, int>> AllSpans() const;
 
   // Serializes the full tracker state (varint-encoded, domains in index
@@ -67,9 +65,16 @@ class SpanTracker {
   };
 
   void Fold(DomainState& state, int day) const;
+  DomainState& FindOrAdd(DomainIndex domain);
+  const DomainState* Find(DomainIndex domain) const;
 
   int horizon_;
-  std::unordered_map<DomainIndex, DomainState> domains_;
+  // Observed domains' states, in first-observation order, and a table from
+  // DomainIndex to 1 + the state's position (0: never observed). Roster
+  // indices are dense, so the table costs 4 bytes a domain, a lookup is a
+  // load, and the domains walk in index order without a sort.
+  std::vector<DomainState> states_;
+  std::vector<std::uint32_t> slot_of_;
 };
 
 }  // namespace tlsharm::analysis

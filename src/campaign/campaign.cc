@@ -58,14 +58,20 @@ bool ReadFileBytes(const std::string& path, Bytes* out, std::string* error) {
 
 // --- campaign state file ("TLRS" | version | body | CRC-32) ---------------
 
-Bytes EncodeState(int day, const scanner::ScanAggregates& aggregates,
+// `aggregates` is ScanAggregates::EncodeState output, shared with the day's
+// checkpoint. Sets `*file_crc` to the CRC-32 of the whole file, trailer
+// included (the journal's digest), carried on from the body's running CRC.
+Bytes EncodeState(int day, ByteView aggregates,
                   const std::vector<scanner::DayLoss>& loss,
-                  const std::string& metrics_json) {
-  Bytes out;
-  out.insert(out.end(), kStateMagic, kStateMagic + 4);
+                  const std::string& metrics_json, std::uint32_t* file_crc) {
+  Bytes out(kStateMagic, kStateMagic + 4);
+  // An upper bound (a varint takes at most 10 bytes), so no append below
+  // copies the aggregate block again.
+  out.reserve(9 + aggregates.size() + metrics_json.size() +
+              10 * (3 + loss.size() * (3 + scanner::kProbeFailureClasses)));
   out.push_back(kStateVersion);
   AppendVarint(out, static_cast<std::uint64_t>(day));
-  aggregates.EncodeState(out);
+  Append(out, aggregates);
   AppendVarint(out, loss.size());
   for (const scanner::DayLoss& d : loss) {
     AppendVarint(out, d.scheduled);
@@ -75,10 +81,13 @@ Bytes EncodeState(int day, const scanner::ScanAggregates& aggregates,
   }
   AppendVarint(out, metrics_json.size());
   Append(out, AsBytes(metrics_json));
-  const std::uint32_t crc = Crc32(out);
+  const std::uint32_t running = Crc32Update(Crc32Init(), out);
+  const std::uint32_t crc = Crc32Final(running);
   for (int shift = 24; shift >= 0; shift -= 8) {
     out.push_back(static_cast<std::uint8_t>(crc >> shift));
   }
+  *file_crc = Crc32Final(
+      Crc32Update(running, ByteView(out.data() + out.size() - 4, 4)));
   return out;
 }
 
@@ -178,14 +187,21 @@ class CommitDriver : public scanner::CampaignHooks {
       error_ = tape_->error();
       return false;
     }
+    // The aggregates are encoded once: the checkpoint and the state file
+    // carry the same bytes.
+    Bytes encoded;
+    encoded.reserve(last_encoded_size_);
+    aggregates.EncodeState(encoded);
+    last_encoded_size_ = encoded.size();
     {
       obs::ProfScope span(kProfCheckpoint);
-      if (!scanner::WriteCheckpoint(warehouse_dir_, day, aggregates,
-                                    &error_)) {
+      if (!scanner::WriteCheckpoint(warehouse_dir_, day, encoded, &error_)) {
         return false;
       }
     }
-    const Bytes state = EncodeState(day, aggregates, loss, metrics_json);
+    std::uint32_t state_crc = 0;
+    const Bytes state =
+        EncodeState(day, encoded, loss, metrics_json, &state_crc);
     {
       obs::ProfScope span(kProfStateWrite);
       if (!DurableWriteFile(dir_ + "/" + StateFileName(day), state,
@@ -204,7 +220,8 @@ class CommitDriver : public scanner::CampaignHooks {
     digests.warehouse_segments = warehouse_->SegmentsWritten();
     digests.manifest_crc = warehouse_->ManifestCrc();
     digests.state_bytes = state.size();
-    digests.state_crc = Crc32(state);
+    digests.state_crc = state_crc;
+    if (tape_ != nullptr) digests.tape_manifest_crc = tape_->ManifestCrc();
     {
       obs::ProfScope span(kProfJournalAppend);
       if (!journal_->DayCommitted(day, digests, &error_)) return false;
@@ -232,6 +249,9 @@ class CommitDriver : public scanner::CampaignHooks {
   warehouse::CaptureTapeWriter* tape_;
   std::string error_;
   std::string last_metrics_json_;
+  // The state grows day over day; reserving yesterday's size saves the
+  // encode its reallocations.
+  std::size_t last_encoded_size_ = 0;
 };
 
 // Removes campaign-root debris: orphaned `*.tmp` from interrupted commits
@@ -339,10 +359,10 @@ bool RunCampaign(simnet::Internet& net, const CampaignSpec& spec,
   RecoveryStats recovery;
   int start_day = 0;
 
-  // The capture tape reconciles itself through its own MANIFEST; the
-  // journal carries no tape digest. The config digest already refused a
-  // resume that flips recording, so a resumed recorded campaign requires
-  // its tape.
+  // The capture tape reconciles itself through its own MANIFEST, whose CRC
+  // the resume path has already checked against the journal. The config
+  // digest already refused a resume that flips recording, so a resumed
+  // recorded campaign requires its tape.
   const auto open_tape = [&](int last_committed) -> bool {
     if (!spec.record_captures) {
       // A stale tape from an earlier recorded run of this directory would
@@ -402,6 +422,28 @@ bool RunCampaign(simnet::Internet& net, const CampaignSpec& spec,
       std::string state_error;
       if (!DecodeState(state_bytes, last, &resume_state, &state_error)) {
         return fail(state_path + ": " + state_error);
+      }
+      // The MANIFESTs the stores would keep must carry the CRCs journaled
+      // for the day, checked before either store sweeps anything: a
+      // self-consistent store from another campaign, or one rolled back,
+      // is refused with the directory untouched.
+      std::uint32_t kept_crc = 0;
+      if (!warehouse::WarehouseWriter::KeptManifestCrc(warehouse_dir, last,
+                                                       &kept_crc, error)) {
+        return false;
+      }
+      if (kept_crc != committed.manifest_crc) {
+        return fail(warehouse_dir + ": warehouse does not match the journal");
+      }
+      if (spec.record_captures) {
+        if (!warehouse::CaptureTapeWriter::KeptManifestCrc(
+                capture_dir, last, &kept_crc, error)) {
+          return false;
+        }
+        if (kept_crc != committed.tape_manifest_crc) {
+          return fail(capture_dir +
+                      ": capture tape does not match the journal");
+        }
       }
       warehouse::RecoverySweep sweep;
       wh = warehouse::WarehouseWriter::Resume(warehouse_dir, last, &sweep,

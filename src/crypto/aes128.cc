@@ -3,6 +3,12 @@
 #include <cassert>
 #include <cstring>
 
+#include "crypto/tuning.h"
+
+#if TLSHARM_CRYPTO_X86_KERNELS
+#include <immintrin.h>
+#endif
+
 namespace tlsharm::crypto {
 namespace {
 
@@ -69,6 +75,74 @@ std::uint8_t GfMul(std::uint8_t a, std::uint8_t b) {
   return result;
 }
 
+#if TLSHARM_CRYPTO_X86_KERNELS
+// AES-NI kernels. The schedule keeps each word big-endian (byte 4c of round
+// key r is round_keys[4r + c] >> 24), so each 32-bit lane is byte-swapped
+// into the cipher's byte order once per call, not once per block. A single
+// block is CBC over one block with a zero IV.
+constexpr std::uint8_t kZeroIv[kAesBlockSize] = {};
+
+__attribute__((target("aes,ssse3"))) void LoadKeysAesNi(
+    const std::uint32_t* round_keys, __m128i* keys) {
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i* words = reinterpret_cast<const __m128i*>(round_keys);
+  for (int r = 0; r < 11; ++r) {
+    keys[r] = _mm_shuffle_epi8(_mm_loadu_si128(words + r), bswap);
+  }
+}
+
+// out[b] = E(in[b] ^ out[b - 1]), with out[-1] = iv; in may equal out.
+__attribute__((target("aes,ssse3"))) void CbcEncryptAesNi(
+    const std::uint32_t* round_keys, const std::uint8_t* iv,
+    const std::uint8_t* in, std::uint8_t* out, std::size_t blocks) {
+  __m128i k[11];
+  LoadKeysAesNi(round_keys, k);
+  const __m128i* src = reinterpret_cast<const __m128i*>(in);
+  __m128i* dst = reinterpret_cast<__m128i*>(out);
+  __m128i chain = _mm_loadu_si128(reinterpret_cast<const __m128i*>(iv));
+  for (std::size_t b = 0; b < blocks; ++b) {
+    __m128i m = _mm_xor_si128(_mm_loadu_si128(src + b), chain);
+    m = _mm_xor_si128(m, k[0]);
+    for (int r = 1; r < 10; ++r) m = _mm_aesenc_si128(m, k[r]);
+    chain = _mm_aesenclast_si128(m, k[10]);
+    _mm_storeu_si128(dst + b, chain);
+  }
+}
+
+// out[b] = D(in[b]) ^ in[b - 1], with in[-1] = iv; in may equal out. The
+// equivalent inverse cipher: the middle round keys pass through aesimc.
+__attribute__((target("aes,ssse3"))) void CbcDecryptAesNi(
+    const std::uint32_t* round_keys, const std::uint8_t* iv,
+    const std::uint8_t* in, std::uint8_t* out, std::size_t blocks) {
+  __m128i k[11];
+  LoadKeysAesNi(round_keys, k);
+  for (int r = 1; r < 10; ++r) k[r] = _mm_aesimc_si128(k[r]);
+  const __m128i* src = reinterpret_cast<const __m128i*>(in);
+  __m128i* dst = reinterpret_cast<__m128i*>(out);
+  __m128i chain = _mm_loadu_si128(reinterpret_cast<const __m128i*>(iv));
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const __m128i c = _mm_loadu_si128(src + b);
+    __m128i m = _mm_xor_si128(c, k[10]);
+    for (int r = 9; r >= 1; --r) m = _mm_aesdec_si128(m, k[r]);
+    m = _mm_aesdeclast_si128(m, k[0]);
+    _mm_storeu_si128(dst + b, _mm_xor_si128(m, chain));
+    chain = c;
+  }
+}
+#endif
+
+// Checks and strips PKCS#7 padding; nullopt when it is malformed.
+std::optional<Bytes> StripPadding(Bytes out) {
+  const std::uint8_t pad = out.back();
+  if (pad == 0 || pad > kAesBlockSize || pad > out.size()) return std::nullopt;
+  for (std::size_t i = out.size() - pad; i < out.size(); ++i) {
+    if (out[i] != pad) return std::nullopt;
+  }
+  out.resize(out.size() - pad);
+  return out;
+}
+
 }  // namespace
 
 Aes128::Aes128(const Aes128Key& key) {
@@ -95,6 +169,27 @@ Aes128::Aes128(const Aes128Key& key) {
 }
 
 void Aes128::EncryptBlock(const std::uint8_t* in, std::uint8_t* out) const {
+#if TLSHARM_CRYPTO_X86_KERNELS
+  if (AesNiKernelEnabled()) {
+    CbcEncryptAesNi(round_keys_.data(), kZeroIv, in, out, 1);
+    return;
+  }
+#endif
+  EncryptBlockPortable(in, out);
+}
+
+void Aes128::DecryptBlock(const std::uint8_t* in, std::uint8_t* out) const {
+#if TLSHARM_CRYPTO_X86_KERNELS
+  if (AesNiKernelEnabled()) {
+    CbcDecryptAesNi(round_keys_.data(), kZeroIv, in, out, 1);
+    return;
+  }
+#endif
+  DecryptBlockPortable(in, out);
+}
+
+void Aes128::EncryptBlockPortable(const std::uint8_t* in,
+                                  std::uint8_t* out) const {
   std::uint8_t s[16];
   std::memcpy(s, in, 16);
   auto add_round_key = [&](int round) {
@@ -131,7 +226,8 @@ void Aes128::EncryptBlock(const std::uint8_t* in, std::uint8_t* out) const {
   std::memcpy(out, s, 16);
 }
 
-void Aes128::DecryptBlock(const std::uint8_t* in, std::uint8_t* out) const {
+void Aes128::DecryptBlockPortable(const std::uint8_t* in,
+                                  std::uint8_t* out) const {
   std::uint8_t s[16];
   std::memcpy(s, in, 16);
   auto add_round_key = [&](int round) {
@@ -183,6 +279,13 @@ Bytes Aes128CbcEncrypt(const Aes128& cipher, const AesBlock& iv,
       kAesBlockSize - (plaintext.size() % kAesBlockSize);
   Bytes padded(plaintext.begin(), plaintext.end());
   padded.insert(padded.end(), pad, static_cast<std::uint8_t>(pad));
+#if TLSHARM_CRYPTO_X86_KERNELS
+  if (AesNiKernelEnabled()) {
+    CbcEncryptAesNi(cipher.round_keys_.data(), iv.data(), padded.data(),
+                    padded.data(), padded.size() / kAesBlockSize);
+    return padded;
+  }
+#endif
 
   Bytes out(padded.size());
   AesBlock chain = iv;
@@ -191,7 +294,7 @@ Bytes Aes128CbcEncrypt(const Aes128& cipher, const AesBlock& iv,
     for (std::size_t i = 0; i < kAesBlockSize; ++i) {
       block[i] = padded[off + i] ^ chain[i];
     }
-    cipher.EncryptBlock(block.data(), out.data() + off);
+    cipher.EncryptBlockPortable(block.data(), out.data() + off);
     std::memcpy(chain.data(), out.data() + off, kAesBlockSize);
   }
   return out;
@@ -208,22 +311,23 @@ std::optional<Bytes> Aes128CbcDecrypt(const Aes128& cipher, const AesBlock& iv,
     return std::nullopt;
   }
   Bytes out(ciphertext.size());
+#if TLSHARM_CRYPTO_X86_KERNELS
+  if (AesNiKernelEnabled()) {
+    CbcDecryptAesNi(cipher.round_keys_.data(), iv.data(), ciphertext.data(),
+                    out.data(), out.size() / kAesBlockSize);
+    return StripPadding(std::move(out));
+  }
+#endif
   AesBlock chain = iv;
   for (std::size_t off = 0; off < ciphertext.size(); off += kAesBlockSize) {
     AesBlock block;
-    cipher.DecryptBlock(ciphertext.data() + off, block.data());
+    cipher.DecryptBlockPortable(ciphertext.data() + off, block.data());
     for (std::size_t i = 0; i < kAesBlockSize; ++i) {
       out[off + i] = block[i] ^ chain[i];
     }
     std::memcpy(chain.data(), ciphertext.data() + off, kAesBlockSize);
   }
-  const std::uint8_t pad = out.back();
-  if (pad == 0 || pad > kAesBlockSize || pad > out.size()) return std::nullopt;
-  for (std::size_t i = out.size() - pad; i < out.size(); ++i) {
-    if (out[i] != pad) return std::nullopt;
-  }
-  out.resize(out.size() - pad);
-  return out;
+  return StripPadding(std::move(out));
 }
 
 Aes128Key ToAesKey(ByteView b) {

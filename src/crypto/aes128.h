@@ -21,7 +21,8 @@ inline constexpr std::size_t kAes128KeySize = 16;
 using AesBlock = std::array<std::uint8_t, kAesBlockSize>;
 using Aes128Key = std::array<std::uint8_t, kAes128KeySize>;
 
-// Expanded-key AES-128 context.
+// Expanded-key AES-128 context. Blocks run on the AES-NI kernel when it is
+// enabled (crypto/tuning.h), else on the portable byte-wise cipher.
 class Aes128 {
  public:
   explicit Aes128(const Aes128Key& key);
@@ -30,6 +31,17 @@ class Aes128 {
   void DecryptBlock(const std::uint8_t* in, std::uint8_t* out) const;
 
  private:
+  // The CBC loops load the AES-NI key registers once per call.
+  friend Bytes Aes128CbcEncrypt(const Aes128& cipher, const AesBlock& iv,
+                                ByteView plaintext);
+  friend std::optional<Bytes> Aes128CbcDecrypt(const Aes128& cipher,
+                                               const AesBlock& iv,
+                                               ByteView ciphertext);
+
+  // The portable cipher: the reference path and the fallback.
+  void EncryptBlockPortable(const std::uint8_t* in, std::uint8_t* out) const;
+  void DecryptBlockPortable(const std::uint8_t* in, std::uint8_t* out) const;
+
   std::array<std::uint32_t, 44> round_keys_;
 };
 

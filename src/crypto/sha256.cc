@@ -4,6 +4,10 @@
 
 #include "crypto/tuning.h"
 
+#if TLSHARM_CRYPTO_X86_KERNELS
+#include <immintrin.h>
+#endif
+
 namespace tlsharm::crypto {
 namespace {
 
@@ -22,6 +26,55 @@ constexpr std::uint32_t kK[64] = {
 
 std::uint32_t Rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+#if TLSHARM_CRYPTO_X86_KERNELS
+// SHA-NI compression of `n` blocks. The state lives in two registers as
+// ABEF and CDGH; each sha256rnds2 runs two rounds, and msg1/msg2 extend
+// the message schedule four words at a time, so group i (rounds 4i..4i+3)
+// finishes the words of group i+1 and starts those of group i+3.
+__attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
+    std::uint32_t* state, const std::uint8_t* blocks, std::size_t n) {
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i* k = reinterpret_cast<const __m128i*>(kK);
+  __m128i* st = reinterpret_cast<__m128i*>(state);
+  __m128i tmp = _mm_shuffle_epi32(_mm_loadu_si128(st), 0xb1);  // CDAB
+  __m128i state1 = _mm_shuffle_epi32(_mm_loadu_si128(st + 1), 0x1b);  // EFGH
+  __m128i state0 = _mm_alignr_epi8(tmp, state1, 8);  // ABEF
+  state1 = _mm_blend_epi16(state1, tmp, 0xf0);       // CDGH
+  for (; n > 0; --n, blocks += kSha256BlockSize) {
+    const __m128i* in = reinterpret_cast<const __m128i*>(blocks);
+    const __m128i abef = state0;
+    const __m128i cdgh = state1;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      if (i < 4) w[i] = _mm_shuffle_epi8(_mm_loadu_si128(in + i), bswap);
+      __m128i msg = _mm_add_epi32(w[i & 3], _mm_loadu_si128(k + i));
+      state1 = _mm_sha256rnds2_epu32(state1, state0, msg);
+      if (i >= 3 && i <= 14) {
+        __m128i& next = w[(i + 1) & 3];
+        next = _mm_add_epi32(next,
+                             _mm_alignr_epi8(w[i & 3], w[(i + 3) & 3], 4));
+        next = _mm_sha256msg2_epu32(next, w[i & 3]);
+      }
+      msg = _mm_shuffle_epi32(msg, 0x0e);
+      state0 = _mm_sha256rnds2_epu32(state0, state1, msg);
+      if (i >= 1 && i <= 12) {
+        w[(i + 3) & 3] = _mm_sha256msg1_epu32(w[(i + 3) & 3], w[i & 3]);
+      }
+    }
+    state0 = _mm_add_epi32(state0, abef);
+    state1 = _mm_add_epi32(state1, cdgh);
+  }
+  tmp = _mm_shuffle_epi32(state0, 0x1b);        // FEBA
+  state1 = _mm_shuffle_epi32(state1, 0xb1);     // DCHG
+  state0 = _mm_blend_epi16(tmp, state1, 0xf0);  // DCBA
+  state1 = _mm_alignr_epi8(state1, tmp, 8);     // HGFE
+  _mm_storeu_si128(st, state0);
+  _mm_storeu_si128(st + 1, state1);
+}
+#endif
+
 }  // namespace
 
 Sha256::Sha256() { Reset(); }
@@ -31,6 +84,18 @@ void Sha256::Reset() {
             0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
   buffer_len_ = 0;
   total_len_ = 0;
+}
+
+void Sha256::Compress(const std::uint8_t* blocks, std::size_t n) {
+#if TLSHARM_CRYPTO_X86_KERNELS
+  if (ShaNiKernelEnabled()) {
+    CompressShaNi(state_.data(), blocks, n);
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < n; ++i) {
+    ProcessBlock(blocks + i * kSha256BlockSize);
+  }
 }
 
 void Sha256::ProcessBlock(const std::uint8_t* block) {
@@ -87,13 +152,14 @@ void Sha256::Update(ByteView data) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == kSha256BlockSize) {
-      ProcessBlock(buffer_.data());
+      Compress(buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + kSha256BlockSize <= data.size()) {
-    ProcessBlock(data.data() + offset);
-    offset += kSha256BlockSize;
+  const std::size_t blocks = (data.size() - offset) / kSha256BlockSize;
+  if (blocks > 0) {
+    Compress(data.data() + offset, blocks);
+    offset += blocks * kSha256BlockSize;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -132,8 +198,7 @@ Sha256Digest Sha256::Finish() {
       tail[n + i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
     }
     n += 8;
-    ProcessBlock(tail);
-    if (n > kSha256BlockSize) ProcessBlock(tail + kSha256BlockSize);
+    Compress(tail, n / kSha256BlockSize);
   }
   Sha256Digest digest;
   for (int i = 0; i < 8; ++i) {

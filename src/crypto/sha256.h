@@ -30,6 +30,10 @@ class Sha256 {
   void Reset();
 
  private:
+  // Compresses `n` whole blocks into state_: the SHA-NI kernel when it is
+  // enabled (crypto/tuning.h), else ProcessBlock per block.
+  void Compress(const std::uint8_t* blocks, std::size_t n);
+  // The portable compression: the reference path and the fallback.
   void ProcessBlock(const std::uint8_t* block);
 
   std::array<std::uint32_t, 8> state_;

@@ -16,8 +16,10 @@ namespace {
 // checkpoint claiming more is corrupt (or from another study).
 constexpr std::uint64_t kMaxDomains = 1u << 28;
 
-void AppendBitmap(Bytes& out, const std::vector<std::uint8_t>& flags) {
-  for (std::size_t i = 0; i < flags.size(); i += 8) {
+// Packs `count` flags, eight to a byte; flags past the vector's end are 0.
+void AppendBitmap(Bytes& out, const std::vector<std::uint8_t>& flags,
+                  std::size_t count) {
+  for (std::size_t i = 0; i < count; i += 8) {
     std::uint8_t packed = 0;
     for (std::size_t b = 0; b < 8 && i + b < flags.size(); ++b) {
       if (flags[i + b] != 0) packed |= static_cast<std::uint8_t>(1u << b);
@@ -126,11 +128,7 @@ void ScanAggregates::EncodeState(Bytes& out) const {
   AppendVarint(out, count);
   const std::vector<std::uint8_t>* bitmaps[] = {&ever_ticket_, &ever_ecdhe_,
                                                 &ever_dhe_, &ever_trusted_};
-  for (const auto* flags : bitmaps) {
-    std::vector<std::uint8_t> padded = *flags;
-    padded.resize(count, 0);
-    AppendBitmap(out, padded);
-  }
+  for (const auto* flags : bitmaps) AppendBitmap(out, *flags, count);
 }
 
 bool ScanAggregates::DecodeState(ByteView in, std::size_t& off) {
@@ -160,10 +158,17 @@ std::string CheckpointFileName(int day) {
 
 bool WriteCheckpoint(const std::string& dir, int day,
                      const ScanAggregates& aggregates, std::string* error) {
-  Bytes bytes;
-  bytes.insert(bytes.end(), kScanCheckpointMagic, kScanCheckpointMagic + 4);
+  Bytes state;
+  aggregates.EncodeState(state);
+  return WriteCheckpoint(dir, day, state, error);
+}
+
+bool WriteCheckpoint(const std::string& dir, int day, ByteView encoded_state,
+                     std::string* error) {
+  Bytes bytes(kScanCheckpointMagic, kScanCheckpointMagic + 4);
+  bytes.reserve(5 + encoded_state.size() + 4);
   bytes.push_back(kScanCheckpointVersion);
-  aggregates.EncodeState(bytes);
+  Append(bytes, encoded_state);
   const std::uint32_t crc = Crc32(bytes);
   for (int shift = 24; shift >= 0; shift -= 8) {
     bytes.push_back(static_cast<std::uint8_t>(crc >> shift));

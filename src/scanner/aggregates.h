@@ -82,6 +82,10 @@ inline constexpr std::uint8_t kScanCheckpointVersion = 1;
 std::string CheckpointFileName(int day);
 bool WriteCheckpoint(const std::string& dir, int day,
                      const ScanAggregates& aggregates, std::string* error);
+// The same file around bytes that ScanAggregates::EncodeState already
+// produced, for a caller that stores the encoded state elsewhere too.
+bool WriteCheckpoint(const std::string& dir, int day, ByteView encoded_state,
+                     std::string* error);
 // False when the file is missing or malformed (aggregates unspecified
 // then); the caller falls back to an older checkpoint or a cold fold.
 bool ReadCheckpoint(const std::string& dir, int day,

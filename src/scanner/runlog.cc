@@ -82,6 +82,7 @@ Bytes EncodeRunLog(const RunLogContents& contents) {
     AppendUint(body, day.digests.manifest_crc, 4);
     AppendVarint(body, day.digests.state_bytes);
     AppendUint(body, day.digests.state_crc, 4);
+    AppendUint(body, day.digests.tape_manifest_crc, 4);
     AppendRecord(out, kRecDayCommitted, body);
   }
   if (contents.started >= 0) {
@@ -164,6 +165,7 @@ bool DecodeRunLog(ByteView bytes, RunLogContents* out, std::string* error) {
           !ReadBE32(body, boff, rec.digests.manifest_crc) ||
           !ReadVarint(body, boff, rec.digests.state_bytes) ||
           !ReadBE32(body, boff, rec.digests.state_crc) ||
+          !ReadBE32(body, boff, rec.digests.tape_manifest_crc) ||
           boff != body.size() || day > kMaxDays) {
         return fail("malformed day-committed record");
       }

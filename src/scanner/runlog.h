@@ -11,9 +11,10 @@
 //                 committed day is presumed partial and discarded.
 //   day-committed written AFTER the day's warehouse/state barriers:
 //                 carries the warehouse row count / segment count /
-//                 MANIFEST CRC and the state checkpoint's size + CRC.
-//                 Recovery verifies each artifact against exactly these
-//                 digests.
+//                 MANIFEST CRC, the state checkpoint's size + CRC, and
+//                 the capture tape's MANIFEST CRC (0 when the campaign
+//                 does not record). Recovery verifies each artifact
+//                 against exactly these digests.
 //
 // On-disk format: "TLRJ" | version byte, then records of
 //   type u8 | body_length varint | body | CRC-32 (4B BE over type+len+body)
@@ -37,7 +38,7 @@
 namespace tlsharm::scanner {
 
 inline constexpr char kRunLogMagic[4] = {'T', 'L', 'R', 'J'};
-inline constexpr std::uint8_t kRunLogVersion = 2;
+inline constexpr std::uint8_t kRunLogVersion = 3;
 
 // What a day-committed record certifies about the artifacts on disk.
 struct DayDigests {
@@ -46,6 +47,7 @@ struct DayDigests {
   std::uint32_t manifest_crc = 0;      // CRC-32 of the MANIFEST bytes
   std::uint64_t state_bytes = 0;       // state-<day>.bin size
   std::uint32_t state_crc = 0;         // CRC-32 of the whole state file
+  std::uint32_t tape_manifest_crc = 0; // capture MANIFEST CRC, 0 unrecorded
 
   bool operator==(const DayDigests&) const = default;
 };

@@ -1,7 +1,7 @@
 // CRC-32 (IEEE 802.3, the zlib/gzip polynomial), used by the observation
 // warehouse to detect corrupted columns, segments and checkpoints before a
-// decoder ever touches the bytes. Table-driven, one table shared
-// process-wide; streaming via the running-state overload.
+// decoder ever touches the bytes. Table-driven (slicing-by-8, tables built
+// at compile time); streaming via the running-state overload.
 #pragma once
 
 #include <cstdint>

@@ -240,6 +240,13 @@ std::unique_ptr<CaptureTapeWriter> CaptureTapeWriter::Resume(
   return writer;
 }
 
+bool CaptureTapeWriter::KeptManifestCrc(const std::string& dir, int last_day,
+                                        std::uint32_t* crc,
+                                        std::string* error) {
+  return DayStoreWriter::KeptManifestCrc(kCaptureTapeLayout, dir, last_day,
+                                         crc, error);
+}
+
 void CaptureTapeWriter::Append(int day, const attack::CaptureRecord& record) {
   if (AdmitRow(day)) pending_.push_back(record);
 }

@@ -54,6 +54,10 @@ class CaptureTapeWriter final : public attack::CaptureSink,
                                                    int last_day,
                                                    RecoverySweep* sweep,
                                                    std::string* error);
+  // The ManifestCrc() that Resume(dir, last_day) would leave, read from
+  // the MANIFEST alone without changing the directory.
+  static bool KeptManifestCrc(const std::string& dir, int last_day,
+                              std::uint32_t* crc, std::string* error);
 
   // attack::CaptureSink (Append days non-decreasing, canonical order).
   void Append(int day, const attack::CaptureRecord& record) override;

@@ -77,6 +77,36 @@ int ParseDayFile(const std::string& name, std::string_view prefix,
   return static_cast<int>(day);
 }
 
+// The MANIFEST text: the layout's header, then one line per day segment
+// and per experiment table.
+std::string RenderManifest(const DayStoreLayout& layout,
+                           const std::vector<SegmentInfo>& days,
+                           const std::vector<SegmentInfo>& experiments) {
+  std::ostringstream manifest;
+  // `head` names the entry: "obs day=3", "exp kind=ticket".
+  const auto line = [&manifest](const std::string& head,
+                                const SegmentInfo& info) {
+    char crc[16];
+    std::snprintf(crc, sizeof(crc), "%08x", info.crc);
+    manifest << head << " file=" << info.file << " rows=" << info.rows
+             << " bytes=" << info.bytes << " crc=" << crc << "\n";
+  };
+  manifest << layout.manifest_header << "\n";
+  for (const SegmentInfo& info : days) {
+    line(std::string(layout.day_tag) + " day=" + std::to_string(info.day),
+         info);
+  }
+  for (const SegmentInfo& info : experiments) {
+    line("exp kind=" + info.kind, info);
+  }
+  return manifest.str();
+}
+
+std::uint32_t TextCrc(const std::string& text) {
+  return Crc32(ByteView(reinterpret_cast<const std::uint8_t*>(text.data()),
+                        text.size()));
+}
+
 }  // namespace
 
 bool ReadWarehouseFile(const std::string& path, Bytes* out,
@@ -246,6 +276,19 @@ bool DayStoreWriter::ResetDirectory(const DayStoreLayout& layout,
   return true;
 }
 
+bool DayStoreWriter::KeptManifestCrc(const DayStoreLayout& layout,
+                                     const std::string& dir, int last_day,
+                                     std::uint32_t* crc, std::string* error) {
+  DayStoreReader existing;
+  if (!existing.Load(layout, dir, error)) return false;
+  std::vector<SegmentInfo> kept;
+  for (const SegmentInfo& info : existing.days_) {
+    if (info.day <= last_day) kept.push_back(info);
+  }
+  *crc = TextCrc(RenderManifest(layout, kept, {}));
+  return true;
+}
+
 bool DayStoreWriter::Reopen(int last_day, RecoverySweep* sweep,
                             std::string* error) {
   DayStoreReader existing;
@@ -407,25 +450,8 @@ bool DayStoreWriter::WriteSegmentFile(const Bytes& bytes, SegmentInfo* info) {
 
 bool DayStoreWriter::WriteManifest() {
   if (!ok_) return false;
-  std::ostringstream manifest;
-  // `head` names the entry: "obs day=3", "exp kind=ticket".
-  const auto line = [&manifest](const std::string& head,
-                                const SegmentInfo& info) {
-    char crc[16];
-    std::snprintf(crc, sizeof(crc), "%08x", info.crc);
-    manifest << head << " file=" << info.file << " rows=" << info.rows
-             << " bytes=" << info.bytes << " crc=" << crc << "\n";
-  };
-  manifest << layout_.manifest_header << "\n";
-  for (const SegmentInfo& info : days_) {
-    line(std::string(layout_.day_tag) + " day=" + std::to_string(info.day),
-         info);
-  }
-  for (const SegmentInfo& info : experiments_) {
-    line("exp kind=" + info.kind, info);
-  }
   const std::string path = dir_ + "/" + kManifestName;
-  const std::string text = manifest.str();
+  const std::string text = RenderManifest(layout_, days_, experiments_);
   const ByteView bytes(reinterpret_cast<const std::uint8_t*>(text.data()),
                        text.size());
   std::string write_error;
@@ -433,7 +459,7 @@ bool DayStoreWriter::WriteManifest() {
     Latch("cannot write " + path + ": " + write_error);
     return false;
   }
-  manifest_crc_ = Crc32(bytes);
+  manifest_crc_ = TextCrc(text);
   return true;
 }
 

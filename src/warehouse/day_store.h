@@ -158,6 +158,14 @@ class DayStoreWriter {
   // at `last_day + 1`.
   bool Reopen(int last_day, RecoverySweep* sweep, std::string* error);
 
+  // CRC-32 of the MANIFEST that Reopen(last_day) would write: the existing
+  // MANIFEST's day entries up to `last_day`, and no experiment table.
+  // Reads the MANIFEST only and changes nothing, so a caller can check
+  // every store against its journal before any of them sweeps.
+  static bool KeptManifestCrc(const DayStoreLayout& layout,
+                              const std::string& dir, int last_day,
+                              std::uint32_t* crc, std::string* error);
+
   // The day machine. AdmitRow gates Append: true when the caller should
   // buffer its row for `day`, after closing the previous day if `day` is
   // later. CloseDay commits the day (a day without rows still gets its

@@ -61,6 +61,13 @@ std::unique_ptr<WarehouseWriter> WarehouseWriter::Resume(
   return writer;
 }
 
+bool WarehouseWriter::KeptManifestCrc(const std::string& dir, int last_day,
+                                      std::uint32_t* crc,
+                                      std::string* error) {
+  return DayStoreWriter::KeptManifestCrc(kWarehouseLayout, dir, last_day,
+                                         crc, error);
+}
+
 void WarehouseWriter::Append(int day,
                              const scanner::HandshakeObservation& obs) {
   if (AdmitRow(day)) pending_.push_back(obs);

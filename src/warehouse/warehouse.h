@@ -60,6 +60,10 @@ class WarehouseWriter : public scanner::StoreWriter, public DayStoreWriter {
                                                  int last_day,
                                                  RecoverySweep* sweep,
                                                  std::string* error);
+  // The ManifestCrc() that Resume(dir, last_day) would leave, read from
+  // the MANIFEST alone without changing the directory.
+  static bool KeptManifestCrc(const std::string& dir, int last_day,
+                              std::uint32_t* crc, std::string* error);
 
   // scanner::StoreWriter: buffers the current day's rows, writes one
   // segment per completed day. Append days must be non-decreasing.

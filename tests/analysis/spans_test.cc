@@ -112,10 +112,9 @@ TEST(SpanTrackerTest, AllSpansEnumeratesEveryDomain) {
 }
 
 TEST(SpanTrackerTest, AllSpansIsSortedByDomainIndex) {
-  // Regression: the tracker's map is unordered, so AllSpans must sort by
-  // domain itself — reports and byte-equality checks built on it depend on
-  // a stable order, and insertion order is an adversarial case for
-  // hash-map iteration.
+  // Reports and byte-equality checks built on AllSpans depend on a stable
+  // order, and an insertion order unlike the index order is the case that
+  // would expose one that follows the tracker's storage.
   SpanTracker tracker;
   for (const DomainIndex domain : {7, 3, 11, 1, 5, 2}) {
     tracker.Observe(domain, 0x9, 0);
@@ -125,6 +124,52 @@ TEST(SpanTrackerTest, AllSpansIsSortedByDomainIndex) {
   EXPECT_TRUE(std::is_sorted(spans.begin(), spans.end()));
   EXPECT_EQ(spans.front().first, 1u);
   EXPECT_EQ(spans.back().first, 11u);
+}
+
+// The encoding is a function of the tracked state alone: observing the
+// same domains in another order encodes the same bytes, and those bytes
+// decode to a tracker that answers the same and re-encodes them unchanged.
+TEST(SpanTrackerTest, EncodingIgnoresObservationOrderAndRoundTrips) {
+  SpanTracker forward, backward;
+  const DomainIndex domains[] = {3, 42, 1000};
+  for (int day = 0; day < 12; ++day) {
+    const SecretId epoch = static_cast<SecretId>(day / 5);
+    for (const DomainIndex domain : domains) {
+      forward.Observe(domain, 100 * domain + epoch, day);
+    }
+    for (int i = 2; i >= 0; --i) {
+      backward.Observe(domains[i], 100 * domains[i] + epoch, day);
+    }
+  }
+  Bytes encoded, reversed;
+  forward.EncodeState(encoded);
+  backward.EncodeState(reversed);
+  EXPECT_EQ(encoded, reversed);
+
+  SpanTracker decoded;
+  std::size_t off = 0;
+  ASSERT_TRUE(decoded.DecodeState(encoded, off));
+  EXPECT_EQ(off, encoded.size());
+  Bytes again;
+  decoded.EncodeState(again);
+  EXPECT_EQ(again, encoded);
+  for (const DomainIndex domain : domains) {
+    EXPECT_EQ(decoded.MaxSpanDays(domain), 5);
+    EXPECT_EQ(decoded.DaysObserved(domain), 12);
+  }
+  EXPECT_FALSE(decoded.EverObserved(4));
+  EXPECT_EQ(decoded.AllSpans(), forward.AllSpans());
+}
+
+TEST(SpanTrackerTest, DecodeRejectsADomainIndexPastAnyRoster) {
+  // horizon 8, one domain at index 2^28: best 0, one day observed (day 0,
+  // stored biased by one), no live entries.
+  Bytes bytes;
+  const std::uint64_t fields[] = {8, 1, std::uint64_t{1} << 28, 0, 1, 1, 0};
+  for (const std::uint64_t v : fields) AppendVarint(bytes, v);
+  SpanTracker tracker;
+  std::size_t off = 0;
+  EXPECT_FALSE(tracker.DecodeState(bytes, off));
 }
 
 // Property sweep: for any rotation period P, measured span == P (except a

@@ -3,10 +3,15 @@
 // cases (exponents 0, 1, powers of two, group order +/- 1; messages that
 // straddle the SHA-256 padding boundary). These are the correctness gate
 // for the windowed Montgomery exponentiation, the midstate-cached HMAC,
-// the single-pass SHA-256 padding and the PRF memo: all must be
-// byte-identical to the originals for every input.
+// the single-pass SHA-256 padding, the PRF memo and the SHA-NI / AES-NI
+// kernels: all must be byte-identical to the originals for every input.
+// On a CPU without the extensions the kernel cases compare the portable
+// code with itself; DifferentialKernels prints which kernels ran.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "crypto/aes128.h"
 #include "crypto/biguint.h"
 #include "crypto/drbg.h"
 #include "crypto/ffdh.h"
@@ -15,6 +20,7 @@
 #include "crypto/sha256.h"
 #include "crypto/tuning.h"
 #include "util/hex.h"
+#include "util/rng.h"
 
 namespace tlsharm::crypto {
 namespace {
@@ -163,33 +169,108 @@ TEST(DifferentialHmac, MidstateMatchesReferenceOnRfc4231Vectors) {
 
 TEST(DifferentialHmac, MidstateMatchesReferenceOnRandomLengths) {
   ReferenceGuard guard;
-  SetReferenceCrypto(false);
   Drbg drbg(ToBytes("differential-hmac"));
-  for (std::size_t key_len : {0u, 1u, 31u, 32u, 63u, 64u, 65u, 131u}) {
+  // Keys from empty through digest- and block-sized to one past a block
+  // (hashed first) and several blocks; the reference runs the naive
+  // construction on the portable SHA-256 compression.
+  for (std::size_t key_len : {0u, 1u, 31u, 32u, 63u, 64u, 65u, 131u, 200u}) {
     const Bytes key = drbg.Generate(key_len);
     for (std::size_t msg_len = 0; msg_len < 130; msg_len += 7) {
       const Bytes msg = drbg.Generate(msg_len);
-      EXPECT_EQ(HmacSha256Mac(key, msg), ReferenceHmacSha256Mac(key, msg))
+      SetReferenceCrypto(true);
+      const Sha256Digest ref = ReferenceHmacSha256Mac(key, msg);
+      SetReferenceCrypto(false);
+      EXPECT_EQ(HmacSha256Mac(key, msg), ref)
           << "key " << key_len << "B, msg " << msg_len << "B";
+      EXPECT_EQ(ReferenceHmacSha256Mac(key, msg), ref);
     }
   }
 }
 
-// --- SHA-256 single-pass padding vs the byte-at-a-time original -------------
+// --- The active kernels ----------------------------------------------------
+
+TEST(DifferentialKernels, ReferenceModeRunsOnlyPortableCode) {
+  ReferenceGuard guard;
+  SetReferenceCrypto(false);
+  // Printed so that a run on a CPU without SHA-NI or AES-NI does not read
+  // as a check of the hardware kernels.
+  std::printf("optimized crypto kernels: %s\n", ActiveCryptoKernels().c_str());
+  SetReferenceCrypto(true);
+  EXPECT_FALSE(ShaNiKernelEnabled());
+  EXPECT_FALSE(AesNiKernelEnabled());
+  EXPECT_EQ(ActiveCryptoKernels(), "sha256=portable aes=portable");
+}
+
+// --- SHA-256: single-pass padding and SHA-NI vs the byte-at-a-time original --
+
+// Hashes `msg` through Update calls of random lengths, 1..200 bytes.
+Sha256Digest HashInPieces(ByteView msg, Rng& rng) {
+  Sha256 ctx;
+  for (std::size_t off = 0; off < msg.size();) {
+    const std::size_t take =
+        1 + rng.UniformInt(std::min<std::size_t>(msg.size() - off, 200));
+    ctx.Update(msg.subspan(off, take));
+    off += take;
+  }
+  return ctx.Finish();
+}
 
 TEST(DifferentialSha256, OptimizedPaddingMatchesReferenceAllLengths) {
   ReferenceGuard guard;
-  Drbg drbg(ToBytes("differential-sha"));
-  // 0..130 covers both padding branches (one and two tail blocks) and
-  // every buffer fill level on both sides of the 56-byte threshold.
-  for (std::size_t len = 0; len <= 130; ++len) {
-    const Bytes msg = drbg.Generate(len == 0 ? 1 : len);
-    const ByteView view(msg.data(), len);
+  Rng rng(0x5a256);
+  // 0..1,100 bytes is 0..17 whole blocks plus every tail: both padding
+  // branches (one and two tail blocks), every buffer fill level on both
+  // sides of the 56-byte threshold, and multi-block runs through the
+  // kernel. Each message goes in one-shot and in seeded random splits.
+  for (std::size_t len = 0; len <= 1100; ++len) {
+    const Bytes msg = rng.RandomBytes(len);
     SetReferenceCrypto(true);
-    const Sha256Digest ref = Sha256Hash(view);
+    const Sha256Digest ref = Sha256Hash(msg);
     SetReferenceCrypto(false);
-    const Sha256Digest opt = Sha256Hash(view);
-    EXPECT_EQ(opt, ref) << "length " << len;
+    EXPECT_EQ(Sha256Hash(msg), ref) << "length " << len;
+    EXPECT_EQ(HashInPieces(msg, rng), ref) << "split length " << len;
+  }
+}
+
+// --- AES-128: AES-NI blocks and CBC vs the byte-wise cipher ---------------
+
+TEST(DifferentialAes128, KernelMatchesPortableBlocksAndCbc) {
+  ReferenceGuard guard;
+  Rng rng(0xae5);
+  for (int trial = 0; trial < 64; ++trial) {
+    const Aes128Key key = ToAesKey(rng.RandomBytes(kAes128KeySize));
+    const AesBlock iv = ToAesBlock(rng.RandomBytes(kAesBlockSize));
+    const Bytes block = rng.RandomBytes(kAesBlockSize);
+    const Bytes pt = rng.RandomBytes(rng.UniformInt(300));
+    const Aes128 cipher(key);
+
+    SetReferenceCrypto(true);
+    std::uint8_t enc_ref[kAesBlockSize], dec_ref[kAesBlockSize];
+    cipher.EncryptBlock(block.data(), enc_ref);
+    cipher.DecryptBlock(block.data(), dec_ref);
+    const Bytes ct_ref = Aes128CbcEncrypt(cipher, iv, pt);
+    const std::optional<Bytes> back_ref = Aes128CbcDecrypt(cipher, iv, ct_ref);
+
+    SetReferenceCrypto(false);
+    std::uint8_t enc_opt[kAesBlockSize], dec_opt[kAesBlockSize];
+    cipher.EncryptBlock(block.data(), enc_opt);
+    cipher.DecryptBlock(block.data(), dec_opt);
+    EXPECT_EQ(Bytes(enc_opt, enc_opt + kAesBlockSize),
+              Bytes(enc_ref, enc_ref + kAesBlockSize));
+    EXPECT_EQ(Bytes(dec_opt, dec_opt + kAesBlockSize),
+              Bytes(dec_ref, dec_ref + kAesBlockSize));
+    const Bytes ct_opt = Aes128CbcEncrypt(key, iv, pt);
+    EXPECT_EQ(ct_opt, ct_ref) << "length " << pt.size();
+    ASSERT_TRUE(back_ref.has_value());
+    EXPECT_EQ(*back_ref, pt);
+    EXPECT_EQ(Aes128CbcDecrypt(key, iv, ct_ref), back_ref);
+
+    // A flipped last byte: both ciphers agree on the verdict and bytes.
+    Bytes tampered = ct_ref;
+    tampered.back() ^= 0x01;
+    const std::optional<Bytes> bad_opt = Aes128CbcDecrypt(cipher, iv, tampered);
+    SetReferenceCrypto(true);
+    EXPECT_EQ(Aes128CbcDecrypt(cipher, iv, tampered), bad_opt);
   }
 }
 

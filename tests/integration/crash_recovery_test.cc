@@ -289,16 +289,18 @@ class CampaignTest : public ::testing::Test {
 
   std::string Dir(const std::string& name) const { return root_ / name; }
 
-  // One-day campaign on a freshly built world.
+  // A campaign (one day unless `days` says otherwise) on a freshly built
+  // world.
   static bool Run(const std::string& dir, bool resume,
                   tlsharm::campaign::CampaignResult* result,
-                  std::string* error, bool record = false) {
+                  std::string* error, bool record = false,
+                  std::uint64_t seed = kSeed, int days = 1) {
     tlsharm::simnet::Internet net(
-        tlsharm::simnet::PaperPopulationSpec(kPopulation), kSeed);
+        tlsharm::simnet::PaperPopulationSpec(kPopulation), seed);
     tlsharm::campaign::CampaignSpec spec;
     spec.dir = dir;
-    spec.days = 1;
-    spec.seed = kSeed;
+    spec.days = days;
+    spec.seed = seed;
     spec.resume = resume;
     spec.record_captures = record;
     return tlsharm::campaign::RunCampaign(net, spec, result, error);
@@ -389,6 +391,33 @@ TEST_F(CampaignTest, RefusesToDropRecordingOnResume) {
 
   EXPECT_FALSE(Run(dir, true, &result, &error));
   EXPECT_NE(error.find("different campaign configuration"), std::string::npos)
+      << error;
+  EXPECT_EQ(SnapshotTree(dir), tree);
+}
+
+// The journal pins the capture tape: a resumed recorded campaign whose
+// tape was swapped for another campaign's is refused, though that tape is
+// self-consistent, and nothing on disk changes. The foreign tape is a day
+// longer than the journal's committed prefix, so a check made only after
+// the resume sweep would already have deleted its extra day.
+TEST_F(CampaignTest, RefusesASwappedCaptureTapeAndChangesNothing) {
+  const std::string dir = Dir("swapped-tape");
+  const std::string other = Dir("other-campaign");
+  tlsharm::campaign::CampaignResult result;
+  std::string error;
+  ASSERT_TRUE(Run(dir, false, &result, &error, /*record=*/true)) << error;
+  ASSERT_TRUE(Run(other, false, &result, &error, /*record=*/true, kSeed + 1,
+                  /*days=*/2))
+      << error;
+  ASSERT_TRUE(fs::exists(other + "/capture/capture-00001.seg"));
+  fs::remove_all(dir + "/capture");
+  fs::copy(other + "/capture", dir + "/capture");
+  const auto tree = SnapshotTree(dir);
+
+  error.clear();
+  EXPECT_FALSE(Run(dir, true, &result, &error, /*record=*/true));
+  EXPECT_NE(error.find("capture tape does not match the journal"),
+            std::string::npos)
       << error;
   EXPECT_EQ(SnapshotTree(dir), tree);
 }

@@ -31,6 +31,7 @@ RunLogContents SampleContents() {
     rec.digests.manifest_crc = 0xb0b0b0b0u - static_cast<unsigned>(day);
     rec.digests.state_bytes = 77u + static_cast<unsigned>(day);
     rec.digests.state_crc = 0xc0c0c0c0u ^ static_cast<unsigned>(day);
+    rec.digests.tape_manifest_crc = 0xd0d0d0d0u + static_cast<unsigned>(day);
     contents.committed.push_back(rec);
   }
   return contents;

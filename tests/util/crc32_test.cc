@@ -28,6 +28,37 @@ TEST(Crc32Test, StreamingMatchesWholeBuffer) {
   }
 }
 
+// The definition, one bit at a time, with no tables.
+std::uint32_t BitwiseCrc32(ByteView data) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0xEDB88320u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SlicedTablesMatchTheBitwiseDefinition) {
+  // Every length through several 8-byte strides plus both tails, at every
+  // start offset within a word, so the sliced loop, the byte tail and
+  // their hand-off are all compared against the definition.
+  Bytes data(300);
+  std::uint32_t x = 0x9e3779b9u;
+  for (std::uint8_t& b : data) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; start + len <= data.size(); ++len) {
+      const ByteView view(data.data() + start, len);
+      ASSERT_EQ(Crc32(view), BitwiseCrc32(view))
+          << "start " << start << " len " << len;
+    }
+  }
+}
+
 TEST(Crc32Test, EveryBitFlipChangesTheDigest) {
   const Bytes data = ToBytes("segment payload bytes");
   const std::uint32_t clean = Crc32(data);
