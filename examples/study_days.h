@@ -5,9 +5,11 @@
 // else is an error, never a study of another length.
 #pragma once
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+
+#include "util/number.h"
 
 namespace tlsharm::examples {
 
@@ -18,13 +20,9 @@ inline constexpr long kMaxStudyDays = 63;
 inline int StudyDaysFromEnv(int fallback, long min_days = 1) {
   const char* env = std::getenv("TLSHARM_DAYS");
   if (env == nullptr) return fallback;
-  char* end = nullptr;
-  const long days = std::isdigit(static_cast<unsigned char>(env[0]))
-                        ? std::strtol(env, &end, 10)
-                        : 0;
-  if (end != nullptr && *end == '\0' && days >= min_days &&
-      days <= kMaxStudyDays) {
-    return static_cast<int>(days);
+  if (const std::optional<std::uint64_t> days =
+          ParseWholeNumber(env, min_days, kMaxStudyDays)) {
+    return static_cast<int>(*days);
   }
   std::fprintf(stderr,
                "TLSHARM_DAYS=\"%s\": want a whole number of days in "

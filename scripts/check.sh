@@ -31,6 +31,19 @@ run_config() {
   fi
 }
 
+# Prints the number a bench report gives for "<key>", sign included (noise
+# can push an overhead reading below zero). A missing or unparsable reading
+# fails the step instead of reading as within budget.
+read_metric() {
+  local key="$1" file="$2" value
+  value="$(sed -n "s/.*\"${key}\": \(-\{0,1\}[0-9.]*\).*/\1/p" "${file}")"
+  if ! [[ "${value}" =~ ^-?[0-9]+(\.[0-9]+)?$ ]]; then
+    echo "FAIL: ${key} in ${file} reads \"${value}\", not a number" >&2
+    return 1
+  fi
+  echo "${value}"
+}
+
 # The plain ctest pass carries the observability, warehouse and adversary
 # contracts: telemetry bytes identical at 1/2/8 threads with the snapshot
 # and trace schema round-tripping (TelemetryDeterminismTest), warehouse
@@ -88,7 +101,7 @@ grep -q "attributed to named spans" "${whdir}/prof-report.txt"
 echo "== performance plane: disabled-path overhead budget =="
 (cd "${whdir}" && TLSHARM_POPULATION=4000 TLSHARM_DAYS=2 TLSHARM_BENCH_REPS=1 \
   "${repo}/build/bench/bench_prof")
-prof_overhead="$(sed -n 's/.*"disabled_overhead_pct": \([0-9.]*\).*/\1/p' \
+prof_overhead="$(read_metric disabled_overhead_pct \
   "${whdir}/BENCH_prof.json")"
 if awk -v o="${prof_overhead}" 'BEGIN { exit !(o > 5.0) }'; then
   echo "FAIL: disabled-path profiling overhead ${prof_overhead}% exceeds" \
@@ -146,7 +159,7 @@ ctest --test-dir "${repo}/build" --output-on-failure -R 'CrashRecovery'
 echo "== crash recovery: journal overhead budget =="
 (cd "${whdir}" && TLSHARM_POPULATION=12000 TLSHARM_DAYS=4 \
   "${repo}/build/bench/bench_recovery")
-overhead="$(sed -n 's/.*"journal_overhead_pct": \([0-9.]*\).*/\1/p' \
+overhead="$(read_metric journal_overhead_pct \
   "${whdir}/BENCH_recovery.json")"
 if awk -v o="${overhead}" 'BEGIN { exit !(o > 10.0) }'; then
   echo "FAIL: journal overhead ${overhead}% exceeds the 10% hard ceiling"
@@ -258,7 +271,7 @@ echo "reference and optimized crypto record, fold and explain identically"
 echo "== adversary plane: capture-overhead budget =="
 (cd "${whdir}" && TLSHARM_POPULATION=4000 TLSHARM_DAYS=3 TLSHARM_BENCH_REPS=1 \
   "${repo}/build/bench/bench_harm")
-cap_overhead="$(sed -n 's/.*"capture_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/p' \
+cap_overhead="$(read_metric capture_overhead_pct \
   "${whdir}/BENCH_harm.json")"
 if awk -v o="${cap_overhead}" 'BEGIN { exit !(o > 15.0) }'; then
   echo "FAIL: capture recording overhead ${cap_overhead}% exceeds the 15%" \

@@ -41,7 +41,19 @@ ParsedCapture Fail(ParsedCapture out, CaptureParseFail why) {
 }  // namespace
 
 ParsedCapture ParseCapture(const std::vector<CapturedExchange>& log) {
+  std::size_t records_begin = 0;
+  ParsedCapture out = ParseCaptureHandshake(log, &records_begin);
+  for (std::size_t i = records_begin; i < log.size(); ++i) {
+    (log[i].from_client ? out.client_records : out.server_records)
+        .push_back(log[i].bytes);
+  }
+  return out;
+}
+
+ParsedCapture ParseCaptureHandshake(const std::vector<CapturedExchange>& log,
+                                    std::size_t* records_begin) {
   ParsedCapture out;
+  *records_begin = log.size();
   if (log.empty()) return Fail(std::move(out), CaptureParseFail::kEmptyLog);
   bool client_finished = false;
   bool server_finished = false;
@@ -49,12 +61,11 @@ ParsedCapture ParseCapture(const std::vector<CapturedExchange>& log) {
   bool saw_server_hello = false;
   bool saw_certificate = false;
 
-  for (const CapturedExchange& exchange : log) {
-    const bool handshake_done = client_finished && server_finished;
-    if (handshake_done) {
-      (exchange.from_client ? out.client_records : out.server_records)
-          .push_back(exchange.bytes);
-      continue;
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const CapturedExchange& exchange = log[i];
+    if (client_finished && server_finished) {
+      *records_begin = i;
+      break;
     }
     const auto msgs = tls::ParseFlight(exchange.bytes);
     if (!msgs) {
@@ -65,20 +76,20 @@ ParsedCapture ParseCapture(const std::vector<CapturedExchange>& log) {
     for (const tls::HandshakeMessage& msg : *msgs) {
       switch (msg.type) {
         case tls::HandshakeType::kClientHello: {
-          const auto ch = tls::ClientHello::Parse(msg.body);
+          auto ch = tls::ClientHello::Parse(msg.body);
           if (!ch) {
             return Fail(std::move(out), CaptureParseFail::kBadClientHello);
           }
-          out.client_hello = *ch;
+          out.client_hello = *std::move(ch);
           saw_client_hello = true;
           break;
         }
         case tls::HandshakeType::kServerHello: {
-          const auto sh = tls::ServerHello::Parse(msg.body);
+          auto sh = tls::ServerHello::Parse(msg.body);
           if (!sh) {
             return Fail(std::move(out), CaptureParseFail::kBadServerHello);
           }
-          out.server_hello = *sh;
+          out.server_hello = *std::move(sh);
           saw_server_hello = true;
           break;
         }
@@ -86,29 +97,29 @@ ParsedCapture ParseCapture(const std::vector<CapturedExchange>& log) {
           saw_certificate = true;
           break;
         case tls::HandshakeType::kServerKeyExchange: {
-          const auto ske = tls::ServerKeyExchange::Parse(msg.body);
+          auto ske = tls::ServerKeyExchange::Parse(msg.body);
           if (!ske) {
             return Fail(std::move(out), CaptureParseFail::kBadServerKex);
           }
-          out.server_kex = *ske;
+          out.server_kex = std::move(ske);
           break;
         }
         case tls::HandshakeType::kServerHelloDone:
           break;
         case tls::HandshakeType::kClientKeyExchange: {
-          const auto cke = tls::ClientKeyExchange::Parse(msg.body);
+          auto cke = tls::ClientKeyExchange::Parse(msg.body);
           if (!cke) {
             return Fail(std::move(out), CaptureParseFail::kBadClientKex);
           }
-          out.client_kex = *cke;
+          out.client_kex = std::move(cke);
           break;
         }
         case tls::HandshakeType::kNewSessionTicket: {
-          const auto nst = tls::NewSessionTicket::Parse(msg.body);
+          auto nst = tls::NewSessionTicket::Parse(msg.body);
           if (!nst) {
             return Fail(std::move(out), CaptureParseFail::kBadTicket);
           }
-          out.new_session_ticket = *nst;
+          out.new_session_ticket = std::move(nst);
           break;
         }
         case tls::HandshakeType::kFinished:

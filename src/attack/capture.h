@@ -92,4 +92,12 @@ struct ParsedCapture {
 
 ParsedCapture ParseCapture(const std::vector<CapturedExchange>& log);
 
+// ParseCapture without the protected application records: it stops at the
+// exchange where both Finished messages have been seen and sets
+// `*records_begin` to that exchange's index (log.size() when the capture
+// never gets there). Everything from there on is application records, so a
+// caller that needs only their count and size reads them in place.
+ParsedCapture ParseCaptureHandshake(const std::vector<CapturedExchange>& log,
+                                    std::size_t* records_begin);
+
 }  // namespace tlsharm::attack

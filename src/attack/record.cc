@@ -13,33 +13,45 @@ CaptureRecord SummarizeCapture(std::uint32_t domain, SimTime time,
     out.wire_bytes += exchange.bytes.size();
   }
 
-  const ParsedCapture parsed = ParseCapture(log);
+  // The application records are counted and sized where they lie in the
+  // log, and the parsed fields move into the record: nothing is copied.
+  std::size_t records_begin = 0;
+  ParsedCapture parsed = ParseCaptureHandshake(log, &records_begin);
   out.valid = parsed.valid;
   out.parse_fail = parsed.parse_fail;
   if (!parsed.valid) return out;
 
   out.abbreviated = parsed.abbreviated;
   out.suite = parsed.server_hello.cipher_suite;
-  out.client_random = parsed.client_hello.random;
-  out.server_random = parsed.server_hello.random;
-  out.session_id = parsed.server_hello.session_id;
-  out.ticket = parsed.RelevantTicket();
+  out.client_random = std::move(parsed.client_hello.random);
+  out.server_random = std::move(parsed.server_hello.random);
+  out.session_id = std::move(parsed.server_hello.session_id);
+  // RelevantTicket(), moved instead of copied.
+  if (!parsed.client_hello.session_ticket.empty()) {
+    out.ticket = std::move(parsed.client_hello.session_ticket);
+  } else if (parsed.new_session_ticket) {
+    out.ticket = std::move(parsed.new_session_ticket->ticket);
+  }
   if (parsed.new_session_ticket) {
     out.ticket_lifetime_hint = parsed.new_session_ticket->lifetime_hint_seconds;
   }
   if (parsed.server_kex) {
     out.kex_group = static_cast<std::uint16_t>(parsed.server_kex->group);
-    out.server_kex = parsed.server_kex->public_value;
+    out.server_kex = std::move(parsed.server_kex->public_value);
   }
-  if (parsed.client_kex) out.client_kex = parsed.client_kex->public_value;
+  if (parsed.client_kex) {
+    out.client_kex = std::move(parsed.client_kex->public_value);
+  }
 
-  out.client_records = static_cast<std::uint32_t>(parsed.client_records.size());
-  out.server_records = static_cast<std::uint32_t>(parsed.server_records.size());
-  for (const Bytes& record : parsed.client_records) {
-    out.client_record_bytes += record.size();
-  }
-  for (const Bytes& record : parsed.server_records) {
-    out.server_record_bytes += record.size();
+  for (std::size_t i = records_begin; i < log.size(); ++i) {
+    const CapturedExchange& record = log[i];
+    if (record.from_client) {
+      ++out.client_records;
+      out.client_record_bytes += record.bytes.size();
+    } else {
+      ++out.server_records;
+      out.server_record_bytes += record.bytes.size();
+    }
   }
   return out;
 }

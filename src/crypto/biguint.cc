@@ -375,45 +375,6 @@ std::uint64_t Montgomery::PowModU64(std::uint64_t base,
   return result;
 }
 
-std::uint64_t Montgomery::PowModU64Windowed(std::uint64_t base,
-                                            const BigUInt& exp) const {
-  const std::uint64_t n = n_.limbs_[0];
-  const std::uint64_t one_m = r_mod_n_.Limb(0);  // 1 in Montgomery domain
-  const std::uint64_t b = MontMul64(base % n, rr_.Limb(0));
-  std::uint64_t table[8];  // b^1, b^3, ..., b^15 (Montgomery domain)
-  table[0] = b;
-  const std::uint64_t sq = MontMul64(b, b);
-  for (int i = 1; i < 8; ++i) table[i] = MontMul64(table[i - 1], sq);
-  // Inline bit access: BigUInt::Bit is an out-of-line call, too slow to
-  // invoke once per exponent bit on this sub-microsecond path.
-  const auto bit = [&exp](std::size_t j) {
-    return (exp.Limb(j >> 6) >> (j & 63)) & 1;
-  };
-  std::uint64_t acc = one_m;
-  bool started = false;
-  std::size_t i = exp.BitLength();
-  while (i > 0) {
-    if (!bit(i - 1)) {
-      if (started) acc = MontMul64(acc, acc);
-      --i;
-      continue;
-    }
-    // Window [i-1 .. l] ending at a set bit, so the digit is odd.
-    std::size_t l = i >= 4 ? i - 4 : 0;
-    while (!bit(l)) ++l;
-    int digit = 0;
-    for (std::size_t j = i; j-- > l;) {
-      if (started) acc = MontMul64(acc, acc);
-      digit = (digit << 1) | static_cast<int>(bit(j));
-    }
-    acc = started ? MontMul64(acc, table[digit >> 1])
-                  : table[digit >> 1];
-    started = true;
-    i = l;
-  }
-  return MontMul64(started ? acc : one_m, 1);  // out of the Montgomery domain
-}
-
 BigUInt Montgomery::PowModReference(const BigUInt& base,
                                     const BigUInt& exp) const {
   if (k_ == 1) {
@@ -434,12 +395,9 @@ BigUInt Montgomery::PowModReference(const BigUInt& base,
 }
 
 BigUInt Montgomery::PowMod(const BigUInt& base, const BigUInt& exp) const {
-  if (ReferenceCryptoEnabled()) return PowModReference(base, exp);
-  if (k_ == 1) {
-    const std::uint64_t b =
-        base.LimbCount() <= 1 ? base.Limb(0) : Reduce(base).Limb(0);
-    return BigUInt::FromU64(PowModU64Windowed(b, exp));
-  }
+  // One limb (the sim61 group) takes the plain ladder in both modes: a
+  // sliding window over u64 Montgomery products measured no faster.
+  if (ReferenceCryptoEnabled() || k_ == 1) return PowModReference(base, exp);
   if (BigUInt::Compare(base, n_) < 0) {
     return PowModWindowed(PrecomputeOddPowers(base), exp);
   }

@@ -122,7 +122,8 @@ class Montgomery {
   // (a - b) mod n; a, b < n.
   BigUInt SubMod(const BigUInt& a, const BigUInt& b) const;
   // base^exp mod n. Dispatches to PowModReference when the global
-  // reference-crypto flag is on, else to the sliding-window path.
+  // reference-crypto flag is on or n is one limb, else to the
+  // sliding-window path.
   BigUInt PowMod(const BigUInt& base, const BigUInt& exp) const;
   // The original square-and-multiply ladder (naive baseline).
   BigUInt PowModReference(const BigUInt& base, const BigUInt& exp) const;
@@ -148,12 +149,9 @@ class Montgomery {
                        const WindowTable& b, const BigUInt& eb) const;
 
  private:
-  // Single-limb fast paths (the 61-bit simulation groups): native
-  // __int128 arithmetic, no allocation.
+  // Single-limb path (the 61-bit simulation groups): native __int128
+  // arithmetic, no allocation.
   std::uint64_t PowModU64(std::uint64_t base, const BigUInt& exp) const;
-  // Its optimized counterpart: sliding-window (w=4) exponentiation with an
-  // on-stack odd-powers table, entirely in u64 Montgomery arithmetic.
-  std::uint64_t PowModU64Windowed(std::uint64_t base, const BigUInt& exp) const;
   // Montgomery product of single-limb values a, b < n (REDC).
   std::uint64_t MontMul64(std::uint64_t a, std::uint64_t b) const;
 

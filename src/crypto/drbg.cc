@@ -5,13 +5,27 @@
 #include "crypto/tuning.h"
 
 namespace tlsharm::crypto {
+namespace {
 
-Drbg::Drbg(ByteView seed_material)
-    : key_(kSha256DigestSize, 0x00), v_(kSha256DigestSize, 0x01) {
+// HMAC keyed with the all-zero initial K: the same midstates for every
+// instance in the process.
+const HmacSha256& ZeroKeyHmac() {
+  static const HmacSha256 zero_key(Sha256Digest{});
+  return zero_key;
+}
+
+}  // namespace
+
+Drbg::Drbg(ByteView seed_material) {
+  v_.fill(0x01);
+  if (!ReferenceCryptoEnabled()) {
+    hmac_ = ZeroKeyHmac();
+    hmac_keyed_ = true;
+  }
   Update(seed_material);
 }
 
-HmacSha256& Drbg::KeyedHmac() {
+const HmacSha256& Drbg::KeyedHmac() {
   if (!hmac_keyed_) {
     hmac_.SetKey(key_);
     hmac_keyed_ = true;
@@ -23,31 +37,22 @@ void Drbg::Update(ByteView provided) {
   // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V)
   if (ReferenceCryptoEnabled()) {
     Bytes data = Concat({v_, Bytes{0x00}, provided});
-    key_ = HmacSha256Bytes(key_, data);
-    v_ = HmacSha256Bytes(key_, v_);
+    key_ = HmacSha256Mac(key_, data);
+    v_ = HmacSha256Mac(key_, v_);
     if (!provided.empty()) {
       data = Concat({v_, Bytes{0x01}, provided});
-      key_ = HmacSha256Bytes(key_, data);
-      v_ = HmacSha256Bytes(key_, v_);
+      key_ = HmacSha256Mac(key_, data);
+      v_ = HmacSha256Mac(key_, v_);
     }
     hmac_keyed_ = false;  // key_ changed without re-keying hmac_
     return;
   }
   const std::uint8_t rounds = provided.empty() ? 1 : 2;
   for (std::uint8_t round = 0; round < rounds; ++round) {
-    HmacSha256& hmac = KeyedHmac();
-    hmac.Reset();
-    hmac.Update(v_);
     const std::uint8_t sep[1] = {round};
-    hmac.Update(ByteView(sep, 1));
-    hmac.Update(provided);
-    const Sha256Digest k = hmac.Finish();
-    key_.assign(k.begin(), k.end());
+    key_ = KeyedHmac().Mac({v_, ByteView(sep, 1), provided});
     hmac_.SetKey(key_);
-    hmac_.Update(v_);
-    const Sha256Digest v = hmac_.Finish();
-    v_.assign(v.begin(), v.end());
-    hmac_.Reset();
+    v_ = hmac_.Mac({v_});
   }
 }
 
@@ -58,19 +63,16 @@ Bytes Drbg::Generate(std::size_t n) {
   out.reserve(n);
   if (ReferenceCryptoEnabled()) {
     while (out.size() < n) {
-      v_ = HmacSha256Bytes(key_, v_);
+      v_ = HmacSha256Mac(key_, v_);
       const std::size_t take = std::min(v_.size(), n - out.size());
       out.insert(out.end(), v_.begin(), v_.begin() + take);
     }
     Update({});
     return out;
   }
-  HmacSha256& hmac = KeyedHmac();
+  const HmacSha256& hmac = KeyedHmac();
   while (out.size() < n) {
-    hmac.Reset();
-    hmac.Update(v_);
-    const Sha256Digest v = hmac.Finish();
-    v_.assign(v.begin(), v.end());
+    v_ = hmac.Mac({v_});
     const std::size_t take = std::min(v_.size(), n - out.size());
     out.insert(out.end(), v_.begin(), v_.begin() + take);
   }

@@ -27,14 +27,16 @@ class Drbg {
 
  private:
   void Update(ByteView provided);
-  // Returns the keyed context, (re)keying it with key_ first if a
+  // Returns the context keyed with key_, (re)keying it first if a
   // reference-mode call changed the key behind its back.
-  HmacSha256& KeyedHmac();
+  const HmacSha256& KeyedHmac();
 
-  Bytes key_;  // K, 32 bytes
-  Bytes v_;    // V, 32 bytes
+  Sha256Digest key_{};  // K, initially all zero
+  Sha256Digest v_;      // V, initially all 0x01
   // Midstate-cached HMAC keyed with key_ (optimized path): Generate's
-  // V = HMAC(K, V) chain reuses it instead of rehashing K per call.
+  // V = HMAC(K, V) chain reuses it instead of rehashing K per call. An
+  // optimized-mode instance starts from a copy of the process-wide
+  // zero-key context instead of keying it again.
   HmacSha256 hmac_;
   bool hmac_keyed_ = false;
 };

@@ -19,11 +19,8 @@ Bytes HkdfExpand(ByteView prk, ByteView info, std::size_t length) {
   Bytes t;
   std::uint8_t counter = 1;
   while (out.size() < length) {
-    HmacSha256 mac(prk);
-    mac.Update(t);
-    mac.Update(info);
-    mac.Update(ByteView(&counter, 1));
-    const Sha256Digest digest = mac.Finish();
+    const Sha256Digest digest =
+        HmacSha256Mac(prk, Concat({t, info, ByteView(&counter, 1)}));
     t.assign(digest.begin(), digest.end());
     const std::size_t take = std::min(t.size(), length - out.size());
     out.insert(out.end(), t.begin(), t.begin() + take);

@@ -30,22 +30,27 @@ std::array<std::uint8_t, kSha256BlockSize> PadKey(ByteView key,
 void HmacSha256::SetKey(ByteView key) {
   const auto ipad_key = PadKey(key, 0x36);
   const auto opad_key = PadKey(key, 0x5c);
-  inner_mid_.Reset();
-  inner_mid_.Update(ByteView(ipad_key.data(), ipad_key.size()));
-  outer_mid_.Reset();
-  outer_mid_.Update(ByteView(opad_key.data(), opad_key.size()));
-  inner_ = inner_mid_;
+  inner_mid_ = kSha256InitialState;
+  Sha256::Compress(inner_mid_, ipad_key.data(), 1);
+  outer_mid_ = kSha256InitialState;
+  Sha256::Compress(outer_mid_, opad_key.data(), 1);
 }
 
-void HmacSha256::Reset() { inner_ = inner_mid_; }
-
-void HmacSha256::Update(ByteView data) { inner_.Update(data); }
-
-Sha256Digest HmacSha256::Finish() {
-  const Sha256Digest inner_digest = inner_.Finish();
-  Sha256 outer = outer_mid_;
-  outer.Update(ByteView(inner_digest.data(), inner_digest.size()));
-  return outer.Finish();
+Sha256Digest HmacSha256::Mac(std::initializer_list<ByteView> parts) const {
+  Sha256 inner(inner_mid_, kSha256BlockSize);
+  for (const ByteView part : parts) inner.Update(part);
+  const Sha256Digest inner_digest = inner.Finish();
+  // The outer hash, one block from the opad midstate: inner digest || 0x80
+  // || zeros || bit length of (opad block + digest).
+  std::uint8_t block[kSha256BlockSize] = {};
+  std::memcpy(block, inner_digest.data(), kSha256DigestSize);
+  block[kSha256DigestSize] = 0x80;
+  constexpr std::uint64_t kBits = (kSha256BlockSize + kSha256DigestSize) * 8;
+  block[kSha256BlockSize - 2] = static_cast<std::uint8_t>(kBits >> 8);
+  block[kSha256BlockSize - 1] = static_cast<std::uint8_t>(kBits);
+  Sha256State state = outer_mid_;
+  Sha256::Compress(state, block, 1);
+  return Sha256::DigestOf(state);
 }
 
 Sha256Digest ReferenceHmacSha256Mac(ByteView key, ByteView data) {
@@ -75,9 +80,7 @@ Sha256Digest ReferenceHmacSha256Mac(ByteView key, ByteView data) {
 Sha256Digest HmacSha256Mac(ByteView key, ByteView data) {
   obs::ProfScope prof_span(kProfHmac);
   if (ReferenceCryptoEnabled()) return ReferenceHmacSha256Mac(key, data);
-  HmacSha256 ctx(key);
-  ctx.Update(data);
-  return ctx.Finish();
+  return HmacSha256(key).Mac({data});
 }
 
 Bytes HmacSha256Bytes(ByteView key, ByteView data) {

@@ -1,5 +1,6 @@
 #include "crypto/sha256.h"
 
+#include <bit>
 #include <cstring>
 
 #include "crypto/tuning.h"
@@ -25,6 +26,16 @@ constexpr std::uint32_t kK[64] = {
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
 std::uint32_t Rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
+
+// `x` with its bytes in big-endian order in memory.
+template <typename T>
+T ToBigEndian(T x) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if constexpr (sizeof(T) == 4) return __builtin_bswap32(x);
+    if constexpr (sizeof(T) == 8) return __builtin_bswap64(x);
+  }
+  return x;
+}
 
 #if TLSHARM_CRYPTO_X86_KERNELS
 // SHA-NI compression of `n` blocks. The state lives in two registers as
@@ -75,30 +86,8 @@ __attribute__((target("sha,sse4.1,ssse3"))) void CompressShaNi(
 }
 #endif
 
-}  // namespace
-
-Sha256::Sha256() { Reset(); }
-
-void Sha256::Reset() {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-  buffer_len_ = 0;
-  total_len_ = 0;
-}
-
-void Sha256::Compress(const std::uint8_t* blocks, std::size_t n) {
-#if TLSHARM_CRYPTO_X86_KERNELS
-  if (ShaNiKernelEnabled()) {
-    CompressShaNi(state_.data(), blocks, n);
-    return;
-  }
-#endif
-  for (std::size_t i = 0; i < n; ++i) {
-    ProcessBlock(blocks + i * kSha256BlockSize);
-  }
-}
-
-void Sha256::ProcessBlock(const std::uint8_t* block) {
+// The portable compression: the reference path and the fallback.
+void ProcessBlock(std::uint32_t* state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -113,8 +102,8 @@ void Sha256::ProcessBlock(const std::uint8_t* block) {
         Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
@@ -131,14 +120,49 @@ void Sha256::ProcessBlock(const std::uint8_t* block) {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+}  // namespace
+
+Sha256::Sha256() { Reset(); }
+
+
+void Sha256::Reset() {
+  state_ = kSha256InitialState;
+  buffer_len_ = 0;
+  total_len_ = 0;
+}
+
+void Sha256::Compress(Sha256State& state, const std::uint8_t* blocks,
+                      std::size_t n) {
+#if TLSHARM_CRYPTO_X86_KERNELS
+  if (ShaNiKernelEnabled()) {
+    CompressShaNi(state.data(), blocks, n);
+    return;
+  }
+#endif
+  for (std::size_t i = 0; i < n; ++i) {
+    ProcessBlock(state.data(), blocks + i * kSha256BlockSize);
+  }
+}
+
+Sha256Digest Sha256::DigestOf(const Sha256State& state) {
+  // One byte swap and one 4-byte store per word: GCC vectorizes the
+  // byte-by-byte form into a long shuffle sequence.
+  Sha256Digest digest;
+  for (int i = 0; i < 8; ++i) {
+    const std::uint32_t word = ToBigEndian(state[i]);
+    std::memcpy(digest.data() + 4 * i, &word, sizeof(word));
+  }
+  return digest;
 }
 
 void Sha256::Update(ByteView data) {
@@ -152,13 +176,13 @@ void Sha256::Update(ByteView data) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == kSha256BlockSize) {
-      Compress(buffer_.data(), 1);
+      Compress(state_, buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
   const std::size_t blocks = (data.size() - offset) / kSha256BlockSize;
   if (blocks > 0) {
-    Compress(data.data() + offset, blocks);
+    Compress(state_, data.data() + offset, blocks);
     offset += blocks * kSha256BlockSize;
   }
   if (offset < data.size()) {
@@ -181,33 +205,31 @@ Sha256Digest Sha256::Finish() {
       len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
     }
     Update(ByteView(len_bytes, 8));
-  } else {
-    // Single-pass padding: assemble the 0x80 byte, the zero run and the
-    // length field into one or two blocks and compress them directly —
-    // identical digest, without ~56 per-byte Update() round-trips.
-    std::uint8_t tail[2 * kSha256BlockSize];
-    std::memcpy(tail, buffer_.data(), buffer_len_);
-    std::size_t n = buffer_len_;
-    tail[n++] = 0x80;
-    const std::size_t pad_to =
-        n <= kSha256BlockSize - 8 ? kSha256BlockSize - 8
-                                  : 2 * kSha256BlockSize - 8;
-    std::memset(tail + n, 0, pad_to - n);
-    n = pad_to;
+    Sha256Digest digest;
     for (int i = 0; i < 8; ++i) {
-      tail[n + i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
+      digest[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
+      digest[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
+      digest[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
+      digest[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
     }
-    n += 8;
-    Compress(tail, n / kSha256BlockSize);
+    return digest;
   }
-  Sha256Digest digest;
-  for (int i = 0; i < 8; ++i) {
-    digest[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
-    digest[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    digest[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    digest[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
+  // Pads in place: the 0x80 byte, the zero run and the length field go into
+  // buffer_ itself (a second block only when the tail leaves fewer than 8
+  // bytes free), identical digest without ~56 per-byte Update() round-trips
+  // or a copy of the tail.
+  std::uint8_t* block = buffer_.data();
+  block[buffer_len_++] = 0x80;
+  if (buffer_len_ > kSha256BlockSize - 8) {
+    std::memset(block + buffer_len_, 0, kSha256BlockSize - buffer_len_);
+    Compress(state_, block, 1);
+    buffer_len_ = 0;
   }
-  return digest;
+  std::memset(block + buffer_len_, 0, kSha256BlockSize - 8 - buffer_len_);
+  const std::uint64_t bit_len_be = ToBigEndian(bit_len);
+  std::memcpy(block + kSha256BlockSize - 8, &bit_len_be, 8);
+  Compress(state_, block, 1);
+  return DigestOf(state_);
 }
 
 Sha256Digest Sha256Hash(ByteView data) {

@@ -104,6 +104,7 @@ std::vector<const tls::Stek*> StekManager::AcceptableSteks(SimTime now) {
   std::lock_guard<std::mutex> lock(mu_);
   AdvanceToLocked(now);
   std::vector<const tls::Stek*> out;
+  out.reserve(epochs_.size());
   for (auto it = epochs_.rbegin(); it != epochs_.rend(); ++it) {
     if (it->issued_from > now) continue;  // not yet issuing at `now`
     if (it->retired_at == kNotRetired ||

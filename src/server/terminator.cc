@@ -3,34 +3,12 @@
 #include <optional>
 
 #include "crypto/prf.h"
-#include "crypto/sha256.h"
 #include "crypto/tuning.h"
 #include "tls/keys.h"
 #include "tls/messages.h"
 #include "tls/record.h"
 
 namespace tlsharm::server {
-namespace {
-
-// Server-side transcript (mirrors the client's).
-class Transcript {
- public:
-  void Add(tls::HandshakeType type, ByteView body) {
-    Bytes framed;
-    tls::AppendHandshake(framed, type, body);
-    hash_.Update(framed);
-  }
-  Bytes CurrentHash() const {
-    crypto::Sha256 copy = hash_;
-    const crypto::Sha256Digest d = copy.Finish();
-    return Bytes(d.begin(), d.end());
-  }
-
- private:
-  crypto::Sha256 hash_;
-};
-
-}  // namespace
 
 // One in-flight server connection. Owns no secret state: everything long-
 // lived (cache, STEKs, KEX values) belongs to the terminator.
@@ -88,7 +66,7 @@ class TerminatorConnection final : public tls::ServerConnection {
   State state_ = State::kAwaitClientHello;
   std::string error_;
 
-  Transcript transcript_;
+  tls::Transcript transcript_;
   std::uint16_t suite_ = 0;
   Bytes client_random_;
   Bytes server_random_;
@@ -197,7 +175,9 @@ Bytes TerminatorConnection::HandleClientHello(
   transcript_.Add(tls::HandshakeType::kClientHello, msg.body);
   client_random_ = ch->random;
   {
-    Bytes material = ToBytes(server_.id_);
+    Bytes material;
+    material.reserve(server_.id_.size() + 16 + client_random_.size());
+    material.assign(server_.id_.begin(), server_.id_.end());
     AppendUint(material, server_.seed_, 8);
     AppendUint(material, static_cast<std::uint64_t>(now_), 8);
     Append(material, client_random_);

@@ -6,9 +6,12 @@
 // (Tables 5–7), and the named real-world domains of Tables 2–4.
 // EXPERIMENTS.md records how well the synthesized ecosystem matches each
 // target.
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "simnet/spec.h"
+#include "util/number.h"
 
 namespace tlsharm::simnet {
 namespace {
@@ -643,11 +646,17 @@ std::vector<NamedDomainSpec> NamedDomains() {
 }  // namespace
 
 std::size_t DefaultPopulationSize(std::size_t fallback) {
-  if (const char* env = std::getenv("TLSHARM_POPULATION")) {
-    const long parsed = std::atol(env);
-    if (parsed >= 100) return static_cast<std::size_t>(parsed);
+  const char* env = std::getenv("TLSHARM_POPULATION");
+  if (env == nullptr) return fallback;
+  if (const std::optional<std::uint64_t> size = ParseWholeNumber(
+          env, kMinPopulation, std::numeric_limits<std::size_t>::max())) {
+    return static_cast<std::size_t>(*size);
   }
-  return fallback;
+  std::fprintf(stderr,
+               "TLSHARM_POPULATION=\"%s\": want a whole number of domains, "
+               "at least %zu\n",
+               env, kMinPopulation);
+  std::exit(2);
 }
 
 PopulationSpec PaperPopulationSpec(std::size_t top_list_size) {

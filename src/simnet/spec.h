@@ -144,8 +144,14 @@ struct PopulationSpec {
 // DefaultPopulationSize().
 PopulationSpec PaperPopulationSpec(std::size_t top_list_size = 0);
 
-// The one TLSHARM_POPULATION parser: the env value when it is at least
-// 100, else `fallback`.
+// The smallest population a study runs at.
+inline constexpr std::size_t kMinPopulation = 100;
+
+// The one TLSHARM_POPULATION reader: `fallback` when the variable is unset,
+// else its value, which must be a whole base-10 number of at least
+// kMinPopulation (util/number.h). Any other value ("300x", "50", "-5")
+// prints `TLSHARM_POPULATION="…": want …` on stderr and exits 2; a study
+// never runs at a size other than the one asked for.
 std::size_t DefaultPopulationSize(std::size_t fallback = 20000);
 
 }  // namespace tlsharm::simnet

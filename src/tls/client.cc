@@ -2,7 +2,6 @@
 
 #include "crypto/kex.h"
 #include "crypto/prf.h"
-#include "crypto/sha256.h"
 
 namespace tlsharm::tls {
 namespace {
@@ -24,24 +23,6 @@ HandshakeErrorClass ClassifyTransport(std::string_view detail) {
   return HandshakeErrorClass::kAlert;
 }
 
-// Transcript hash over framed handshake messages.
-class Transcript {
- public:
-  void Add(HandshakeType type, ByteView body) {
-    Bytes framed;
-    AppendHandshake(framed, type, body);
-    hash_.Update(framed);
-  }
-  Bytes CurrentHash() const {
-    crypto::Sha256 copy = hash_;  // snapshot
-    const crypto::Sha256Digest d = copy.Finish();
-    return Bytes(d.begin(), d.end());
-  }
-
- private:
-  crypto::Sha256 hash_;
-};
-
 }  // namespace
 
 HandshakeResult TlsClient::Handshake(ServerConnection& conn, SimTime now,
@@ -53,6 +34,7 @@ HandshakeResult TlsClient::Handshake(ServerConnection& conn, SimTime now,
   ClientHello ch;
   ch.random = drbg.Generate(kRandomSize);
   ch.session_id = config_->resume_session_id;
+  ch.cipher_suites.reserve(config_->offered_suites.size());
   for (CipherSuite s : config_->offered_suites) {
     ch.cipher_suites.push_back(static_cast<std::uint16_t>(s));
   }

@@ -1,5 +1,7 @@
 #include "tls/messages.h"
 
+#include <algorithm>
+
 #include "tls/wire.h"
 
 namespace tlsharm::tls {
@@ -43,6 +45,7 @@ std::optional<ClientHello> ClientHello::Parse(ByteView body) {
   ch.session_id = r.ReadVector(1);
   if (ch.session_id.size() > kMaxSessionIdSize) return std::nullopt;
   Reader suites = r.ReadSubReader(2);
+  ch.cipher_suites.reserve(suites.Remaining() / 2);
   while (!suites.AtEnd()) {
     ch.cipher_suites.push_back(static_cast<std::uint16_t>(suites.ReadUint(2)));
   }
@@ -50,7 +53,7 @@ std::optional<ClientHello> ClientHello::Parse(ByteView body) {
   Reader exts = r.ReadSubReader(2);
   while (!exts.AtEnd()) {
     const auto type = static_cast<ExtensionType>(exts.ReadUint(2));
-    const Bytes data = exts.ReadVector(2);
+    Bytes data = exts.ReadVector(2);
     if (exts.Failed()) return std::nullopt;
     switch (type) {
       case ExtensionType::kServerName: {
@@ -61,7 +64,7 @@ std::optional<ClientHello> ClientHello::Parse(ByteView body) {
       }
       case ExtensionType::kSessionTicket:
         ch.offer_session_ticket = true;
-        ch.session_ticket = data;
+        ch.session_ticket = std::move(data);
         break;
     }
   }
@@ -188,19 +191,39 @@ std::optional<Finished> Finished::Parse(ByteView body) {
 }
 
 void AppendHandshake(Bytes& flight, HandshakeType type, ByteView body) {
+  const std::size_t need = flight.size() + 4 + body.size();
+  if (flight.capacity() < need) {
+    flight.reserve(std::max(need, 2 * flight.capacity()));
+  }
   AppendUint(flight, static_cast<std::uint64_t>(type), 1);
   AppendUint(flight, body.size(), 3);
   Append(flight, body);
 }
 
+void Transcript::Add(HandshakeType type, ByteView body) {
+  const std::uint8_t header[4] = {
+      static_cast<std::uint8_t>(type),
+      static_cast<std::uint8_t>(body.size() >> 16),
+      static_cast<std::uint8_t>(body.size() >> 8),
+      static_cast<std::uint8_t>(body.size())};
+  hash_.Update(header);
+  hash_.Update(body);
+}
+
+crypto::Sha256Digest Transcript::CurrentHash() const {
+  crypto::Sha256 snapshot = hash_;
+  return snapshot.Finish();
+}
+
 std::optional<std::vector<HandshakeMessage>> ParseFlight(ByteView flight) {
   std::vector<HandshakeMessage> msgs;
+  msgs.reserve(4);  // the longest flight: ServerHello .. ServerHelloDone
   Reader r(flight);
   while (!r.AtEnd()) {
     const auto type = static_cast<HandshakeType>(r.ReadUint(1));
-    const Bytes body = r.ReadVector(3);
+    Bytes body = r.ReadVector(3);
     if (r.Failed()) return std::nullopt;
-    msgs.push_back(HandshakeMessage{type, body});
+    msgs.push_back(HandshakeMessage{type, std::move(body)});
   }
   return msgs;
 }

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "crypto/sha256.h"
 #include "pki/certificate.h"
 #include "tls/constants.h"
 #include "util/bytes.h"
@@ -97,5 +98,18 @@ void AppendHandshake(Bytes& flight, HandshakeType type, ByteView body);
 
 // Splits a flight into framed messages; nullopt on malformed framing.
 std::optional<std::vector<HandshakeMessage>> ParseFlight(ByteView flight);
+
+// The running SHA-256 over framed handshake messages that both endpoints
+// feed into their Finished messages.
+class Transcript {
+ public:
+  // Hashes the message's 4-byte header, then its body in place.
+  void Add(HandshakeType type, ByteView body);
+  // The hash of everything added so far; the transcript carries on.
+  crypto::Sha256Digest CurrentHash() const;
+
+ private:
+  crypto::Sha256 hash_;
+};
 
 }  // namespace tlsharm::tls

@@ -24,9 +24,7 @@ constexpr std::size_t kGuidSize = 16;
 
 Bytes MacOver(const Stek& stek, ByteView header_and_ct) {
   if (stek.mac && !crypto::ReferenceCryptoEnabled()) {
-    crypto::HmacSha256 hmac = *stek.mac;  // clone of the keyed midstates
-    hmac.Update(header_and_ct);
-    const crypto::Sha256Digest d = hmac.Finish();
+    const crypto::Sha256Digest d = stek.mac->Mac({header_and_ct});
     return Bytes(d.begin(), d.end());
   }
   return crypto::HmacSha256Bytes(stek.mac_key, header_and_ct);

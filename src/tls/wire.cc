@@ -1,14 +1,21 @@
 #include "tls/wire.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace tlsharm::tls {
+
+void Writer::Grow(std::size_t n) {
+  out_.reserve(std::max({kTypicalMessageSize, out_.size() + n,
+                         2 * out_.capacity()}));
+}
 
 void Writer::WriteVector(ByteView b, int len_width) {
   assert(len_width >= 1 && len_width <= 3);
   const std::uint64_t max = (1ULL << (8 * len_width)) - 1;
   assert(b.size() <= max);
   (void)max;
+  Room(static_cast<std::size_t>(len_width) + b.size());
   AppendUint(out_, b.size(), len_width);
   Append(out_, b);
 }

@@ -12,8 +12,14 @@ namespace tlsharm::tls {
 
 class Writer {
  public:
-  void WriteUint(std::uint64_t v, int width) { AppendUint(out_, v, width); }
-  void WriteBytes(ByteView b) { Append(out_, b); }
+  void WriteUint(std::uint64_t v, int width) {
+    Room(static_cast<std::size_t>(width));
+    AppendUint(out_, v, width);
+  }
+  void WriteBytes(ByteView b) {
+    Room(b.size());
+    Append(out_, b);
+  }
   // Length-prefixed vector with a `len_width`-byte length field.
   void WriteVector(ByteView b, int len_width);
   void WriteString(std::string_view s, int len_width);
@@ -22,6 +28,16 @@ class Writer {
   Bytes&& Result() && { return std::move(out_); }
 
  private:
+  // Room for a typical handshake message, taken at the first write, so a
+  // serializer does not grow its buffer a byte at a time; a writer that
+  // never writes allocates nothing.
+  static constexpr std::size_t kTypicalMessageSize = 128;
+
+  void Room(std::size_t n) {
+    if (out_.capacity() - out_.size() < n) Grow(n);
+  }
+  void Grow(std::size_t n);
+
   Bytes out_;
 };
 

@@ -19,9 +19,12 @@ void Append(Bytes& dst, ByteView src) {
 
 void AppendUint(Bytes& dst, std::uint64_t n, int width) {
   assert(width >= 1 && width <= 8);
-  for (int i = width - 1; i >= 0; --i) {
-    dst.push_back(static_cast<std::uint8_t>((n >> (8 * i)) & 0xff));
+  // One insert instead of a capacity check per byte.
+  std::uint8_t be[8];
+  for (int i = 0; i < width; ++i) {
+    be[i] = static_cast<std::uint8_t>(n >> (8 * (width - 1 - i)));
   }
+  dst.insert(dst.end(), be, be + width);
 }
 
 std::uint64_t ReadUint(ByteView b, std::size_t off, int width) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "attack/record.h"
 #include "testutil/fixtures.h"
 
 namespace tlsharm::attack {
@@ -143,6 +144,112 @@ TEST_F(CaptureTest, CorruptionCorpusClassifiesEveryMutation) {
       std::vector<CapturedExchange> mutated = log;
       mutated[e].bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
       check(ParseCapture(mutated));
+    }
+  }
+}
+
+// What SummarizeCapture recorded before it stopped copying: every field
+// read from the full ParseCapture, records included.
+CaptureRecord SummaryFromFullParse(const std::vector<CapturedExchange>& log) {
+  CaptureRecord out;
+  for (const CapturedExchange& exchange : log) {
+    out.wire_bytes += exchange.bytes.size();
+  }
+  const ParsedCapture parsed = ParseCapture(log);
+  out.valid = parsed.valid;
+  out.parse_fail = parsed.parse_fail;
+  if (!parsed.valid) return out;
+  out.abbreviated = parsed.abbreviated;
+  out.suite = parsed.server_hello.cipher_suite;
+  out.client_random = parsed.client_hello.random;
+  out.server_random = parsed.server_hello.random;
+  out.session_id = parsed.server_hello.session_id;
+  out.ticket = parsed.RelevantTicket();
+  if (parsed.new_session_ticket) {
+    out.ticket_lifetime_hint = parsed.new_session_ticket->lifetime_hint_seconds;
+  }
+  if (parsed.server_kex) {
+    out.kex_group = static_cast<std::uint16_t>(parsed.server_kex->group);
+    out.server_kex = parsed.server_kex->public_value;
+  }
+  if (parsed.client_kex) out.client_kex = parsed.client_kex->public_value;
+  out.client_records = static_cast<std::uint32_t>(parsed.client_records.size());
+  out.server_records = static_cast<std::uint32_t>(parsed.server_records.size());
+  for (const Bytes& record : parsed.client_records) {
+    out.client_record_bytes += record.size();
+  }
+  for (const Bytes& record : parsed.server_records) {
+    out.server_record_bytes += record.size();
+  }
+  return out;
+}
+
+// SummarizeCapture counts the application records in place and moves the
+// parsed fields; it must record exactly what the full parse gives, on a
+// full and an abbreviated handshake followed by application records, and
+// on every truncation and bit flip of them.
+TEST_F(CaptureTest, SummaryMatchesTheFullParseOnEveryMutation) {
+  auto term = MakeTerminator(pki_, {"victim.com"}, server::ServerConfig{});
+  std::vector<std::vector<CapturedExchange>> logs;
+  tls::HandshakeResult full;
+  {
+    auto conn = term->NewConnection(100);
+    PassiveCapture capture;
+    tls::TappedConnection tapped(*conn, capture);
+    tls::TlsClient client(ClientFor(pki_, "victim.com"));
+    full = client.Handshake(tapped, 100, drbg_);
+    ASSERT_TRUE(full.ok) << full.error;
+    logs.push_back(capture.Log());
+  }
+  {
+    auto conn = term->NewConnection(200);
+    PassiveCapture capture;
+    tls::TappedConnection tapped(*conn, capture);
+    tls::ClientConfig config = ClientFor(pki_, "victim.com");
+    config.resume_master_secret = full.master_secret;
+    config.resume_ticket = full.ticket;
+    tls::TlsClient client(config);
+    const auto hs = client.Handshake(tapped, 200, drbg_);
+    ASSERT_TRUE(hs.ok && hs.resumed) << hs.error;
+    logs.push_back(capture.Log());
+  }
+  for (std::vector<CapturedExchange>& log : logs) {
+    log.push_back({true, Bytes(37, 0x17)});
+    log.push_back({false, Bytes(101, 0x17)});
+    log.push_back({true, Bytes(5, 0x17)});
+  }
+  const auto check = [](const std::vector<CapturedExchange>& log) {
+    const CaptureRecord want = SummaryFromFullParse(log);
+    CaptureRecord got = SummarizeCapture(7, 300, 9, log);
+    EXPECT_EQ(got.domain, 7u);
+    EXPECT_EQ(got.time, 300);
+    EXPECT_EQ(got.endpoint, 9u);
+    got.domain = 0;
+    got.time = 0;
+    got.endpoint = 0;
+    EXPECT_EQ(got, want);
+  };
+  for (const std::vector<CapturedExchange>& log : logs) {
+    check(log);
+    const CaptureRecord summary = SummarizeCapture(0, 0, 0, log);
+    ASSERT_TRUE(summary.valid);
+    EXPECT_EQ(summary.client_records, 2u);
+    EXPECT_EQ(summary.server_records, 1u);
+    EXPECT_EQ(summary.client_record_bytes, 42u);
+    EXPECT_EQ(summary.server_record_bytes, 101u);
+    for (std::size_t e = 0; e < log.size(); ++e) {
+      for (std::size_t keep = 0; keep < log[e].bytes.size(); ++keep) {
+        std::vector<CapturedExchange> mutated = log;
+        mutated[e].bytes.resize(keep);
+        if (keep == 0) mutated.erase(mutated.begin() + e);
+        check(mutated);
+      }
+      for (std::size_t bit = 0; bit < log[e].bytes.size() * 8; bit += 3) {
+        std::vector<CapturedExchange> mutated = log;
+        mutated[e].bytes[bit / 8] ^=
+            static_cast<std::uint8_t>(1u << (bit % 8));
+        check(mutated);
+      }
     }
   }
 }

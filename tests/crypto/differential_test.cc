@@ -2,9 +2,10 @@
 // naive reference counterpart, over random inputs and the adversarial edge
 // cases (exponents 0, 1, powers of two, group order +/- 1; messages that
 // straddle the SHA-256 padding boundary). These are the correctness gate
-// for the windowed Montgomery exponentiation, the midstate-cached HMAC,
-// the single-pass SHA-256 padding, the PRF memo and the SHA-NI / AES-NI
-// kernels: all must be byte-identical to the originals for every input.
+// for the windowed Montgomery exponentiation, the midstate-cached HMAC, the
+// HMAC-DRBG, the in-place SHA-256 padding, the PRF memo and the SHA-NI /
+// AES-NI kernels: all must be byte-identical to the originals for every
+// input.
 // On a CPU without the extensions the kernel cases compare the portable
 // code with itself; DifferentialKernels prints which kernels ran.
 #include <gtest/gtest.h>
@@ -84,8 +85,8 @@ void CheckGroup(const FfdhParams& params) {
     const Montgomery::WindowTable win = mont.PrecomputeWindowTable(base);
     for (const BigUInt& e : exps) {
       const BigUInt want = mont.PowModReference(base, e);
-      // Dispatching entry point, optimized mode (covers the single-limb
-      // sliding-window path for sim61 and the multi-limb path for sim256).
+      // Dispatching entry point, optimized mode (the plain single-limb
+      // ladder for sim61, the multi-limb sliding window for sim256).
       EXPECT_EQ(mont.PowMod(base, e), want)
           << base.ToHex() << "^" << e.ToHex();
       EXPECT_EQ(mont.PowModWindowed(odd, e), want)
@@ -154,13 +155,10 @@ TEST(DifferentialHmac, MidstateMatchesReferenceOnRfc4231Vectors) {
   for (const Rfc4231Case& c : Rfc4231Cases()) {
     const Sha256Digest ref = ReferenceHmacSha256Mac(c.key, c.data);
     EXPECT_EQ(HexEncode(ByteView(ref.data(), ref.size())), c.mac_hex);
-    // Midstate-cached context, first use and after Reset.
-    HmacSha256 ctx(c.key);
-    ctx.Update(c.data);
-    const Sha256Digest first = ctx.Finish();
-    ctx.Reset();
-    ctx.Update(c.data);
-    const Sha256Digest again = ctx.Finish();
+    // Midstate-cached context, first use and again under the same key.
+    const HmacSha256 ctx(c.key);
+    const Sha256Digest first = ctx.Mac({c.data});
+    const Sha256Digest again = ctx.Mac({c.data});
     EXPECT_EQ(first, ref);
     EXPECT_EQ(again, ref);
     EXPECT_EQ(HmacSha256Mac(c.key, c.data), ref);
@@ -185,6 +183,120 @@ TEST(DifferentialHmac, MidstateMatchesReferenceOnRandomLengths) {
       EXPECT_EQ(ReferenceHmacSha256Mac(key, msg), ref);
     }
   }
+}
+
+// Every way Mac() can receive `msg`: whole, and split into two and three
+// parts at every cut.
+std::vector<std::vector<ByteView>> Splits(ByteView msg) {
+  std::vector<std::vector<ByteView>> out = {{msg}};
+  for (std::size_t i = 0; i <= msg.size(); ++i) {
+    out.push_back({msg.first(i), msg.subspan(i)});
+    for (std::size_t j = i; j <= msg.size(); ++j) {
+      out.push_back({msg.first(i), msg.subspan(i, j - i), msg.subspan(j)});
+    }
+  }
+  return out;
+}
+
+Sha256Digest MacOfParts(const HmacSha256& ctx,
+                        const std::vector<ByteView>& parts) {
+  switch (parts.size()) {
+    case 1:
+      return ctx.Mac({parts[0]});
+    case 2:
+      return ctx.Mac({parts[0], parts[1]});
+    default:
+      return ctx.Mac({parts[0], parts[1], parts[2]});
+  }
+}
+
+TEST(DifferentialHmac, MacOfPartsMatchesReference) {
+  ReferenceGuard guard;
+  SetReferenceCrypto(false);
+  Rng rng(0x4ac55);
+  // Up to 55 bytes (message, padding and length in one inner block) in one,
+  // two and three parts at every split; 56..200 bytes whole and in two
+  // parts. Keys cover empty, digest-sized, block-sized, one past a block
+  // (hashed first) and several blocks. The reference runs in reference
+  // mode, so it shares neither the in-place padding nor the SHA-NI kernel.
+  for (std::size_t key_len : {0u, 32u, 64u, 65u, 131u}) {
+    const Bytes key = rng.RandomBytes(key_len);
+    const HmacSha256 ctx(key);
+    for (std::size_t len = 0; len <= 200; ++len) {
+      const Bytes msg = rng.RandomBytes(len);
+      SetReferenceCrypto(true);
+      const Sha256Digest ref = ReferenceHmacSha256Mac(key, msg);
+      SetReferenceCrypto(false);
+      if (len <= kSha256BlockSize - 9) {
+        for (const std::vector<ByteView>& parts : Splits(msg)) {
+          ASSERT_EQ(MacOfParts(ctx, parts), ref)
+              << "key " << key_len << "B, msg " << len << "B in "
+              << parts.size() << " parts";
+        }
+      } else {
+        ASSERT_EQ(ctx.Mac({msg}), ref) << "key " << key_len << "B, msg "
+                                       << len << "B";
+        ASSERT_EQ(ctx.Mac({ByteView(msg).first(len / 3),
+                           ByteView(msg).subspan(len / 3)}),
+                  ref)
+            << "key " << key_len << "B, msg " << len << "B in 2 parts";
+      }
+    }
+  }
+}
+
+// --- HMAC-DRBG: fixed-array state, keyed V chain, zero-key midstates -----
+
+// Instantiates from `seed` and draws every output kind: Generate of every
+// length 1..200, a Reseed, and UniformInt over several bounds.
+Bytes DrbgStream(ByteView seed) {
+  Drbg drbg(seed);
+  Bytes out;
+  for (std::size_t n = 1; n <= 200; ++n) Append(out, drbg.Generate(n));
+  drbg.Reseed(seed);
+  Append(out, drbg.Generate(200));
+  for (std::uint64_t bound : {1ull, 2ull, 3ull, 1000ull, 1ull << 40,
+                              ~0ull}) {
+    AppendUint(out, drbg.UniformInt(bound), 8);
+  }
+  Append(out, drbg.Generate(1));
+  return out;
+}
+
+TEST(DifferentialDrbg, StreamsMatchReferenceForEverySeedLength) {
+  ReferenceGuard guard;
+  Rng rng(0xd7b6);
+  for (std::size_t seed_len = 0; seed_len <= 200; ++seed_len) {
+    const Bytes seed = rng.RandomBytes(seed_len);
+    SetReferenceCrypto(true);
+    const Bytes ref = DrbgStream(seed);
+    SetReferenceCrypto(false);
+    ASSERT_EQ(DrbgStream(seed), ref) << "seed " << seed_len << "B";
+  }
+}
+
+TEST(DifferentialDrbg, InstancesMatchAcrossModeFlips) {
+  ReferenceGuard guard;
+  const Bytes seed = ToBytes("differential-drbg-flip");
+  SetReferenceCrypto(true);
+  const Bytes ref = DrbgStream(seed);
+  // Built after a flip into optimized mode: the process-wide zero-key
+  // context may be first built here or already exist; either way the
+  // instance must start from the same K as the reference.
+  SetReferenceCrypto(false);
+  EXPECT_EQ(DrbgStream(seed), ref);
+  // One instance driven through both modes in turn: a reference call
+  // changes K behind the cached context, which must re-key before the next
+  // optimized call.
+  Drbg mixed_ref(seed), mixed(seed);
+  for (int i = 0; i < 6; ++i) {
+    SetReferenceCrypto(true);
+    const Bytes want = mixed_ref.Generate(40);
+    SetReferenceCrypto(i % 2 == 0);
+    EXPECT_EQ(mixed.Generate(40), want) << "round " << i;
+  }
+  SetReferenceCrypto(true);
+  EXPECT_EQ(DrbgStream(seed), ref);
 }
 
 // --- The active kernels ----------------------------------------------------

@@ -59,23 +59,21 @@ TEST(HmacTest, Rfc4231Case7LongKeyAndData) {
 TEST(HmacTest, IncrementalMatchesOneShot) {
   const Bytes key = ToBytes("key-material");
   const Bytes data = ToBytes("message to authenticate in pieces");
-  HmacSha256 ctx(key);
-  ctx.Update(ByteView(data.data(), 10));
-  ctx.Update(ByteView(data.data() + 10, data.size() - 10));
-  const Sha256Digest inc = ctx.Finish();
+  const HmacSha256 ctx(key);
+  const Sha256Digest inc = ctx.Mac({ByteView(data.data(), 10),
+                                    ByteView(data.data() + 10,
+                                             data.size() - 10)});
   const Sha256Digest one = HmacSha256Mac(key, data);
   EXPECT_EQ(HexEncode(ByteView(inc.data(), inc.size())),
             HexEncode(ByteView(one.data(), one.size())));
 }
 
 TEST(HmacTest, ResetRestartsWithSameKey) {
+  // A keyed context MACs any number of messages under its key.
   const Bytes key = ToBytes("k");
-  HmacSha256 ctx(key);
-  ctx.Update(ToBytes("first"));
-  (void)ctx.Finish();
-  ctx.Reset();
-  ctx.Update(ToBytes("second"));
-  const Sha256Digest again = ctx.Finish();
+  const HmacSha256 ctx(key);
+  (void)ctx.Mac({ToBytes("first")});
+  const Sha256Digest again = ctx.Mac({ToBytes("second")});
   const Sha256Digest fresh = HmacSha256Mac(key, ToBytes("second"));
   EXPECT_EQ(HexEncode(ByteView(again.data(), again.size())),
             HexEncode(ByteView(fresh.data(), fresh.size())));

@@ -83,17 +83,35 @@ TEST(ProfilesTest, JackHenryRotatesOnDay59) {
 }
 
 TEST(ProfilesTest, DefaultPopulationSizeRespectsEnv) {
-  // Only checks the default path (env mutation is process-global; the
-  // parsing branch is covered by setting and restoring).
-  const std::size_t before = DefaultPopulationSize();
-  EXPECT_GE(before, 2000u);
+  // Env mutation is process-global: set, check, restore.
+  unsetenv("TLSHARM_POPULATION");
+  EXPECT_EQ(DefaultPopulationSize(), 20000u);
+  EXPECT_EQ(DefaultPopulationSize(6000), 6000u);  // unset: the fallback
   setenv("TLSHARM_POPULATION", "5000", 1);
   EXPECT_EQ(DefaultPopulationSize(), 5000u);
-  setenv("TLSHARM_POPULATION", "1500", 1);
-  EXPECT_EQ(DefaultPopulationSize(), 1500u);
-  setenv("TLSHARM_POPULATION", "10", 1);  // below floor: ignored
-  EXPECT_NE(DefaultPopulationSize(), 10u);
-  EXPECT_EQ(DefaultPopulationSize(6000), 6000u);  // the caller's fallback
+  setenv("TLSHARM_POPULATION", "100", 1);
+  EXPECT_EQ(DefaultPopulationSize(6000), 100u);
+  // Below the floor: refused, never the fallback population.
+  setenv("TLSHARM_POPULATION", "10", 1);
+  EXPECT_EXIT(DefaultPopulationSize(6000), ::testing::ExitedWithCode(2),
+              "TLSHARM_POPULATION=\"10\": want a whole number of domains, "
+              "at least 100");
+  unsetenv("TLSHARM_POPULATION");
+}
+
+TEST(ProfilesTest, PopulationSizeIsAWholeNumberOfAtLeast100) {
+  for (const char* good : {"100", "0300", "1000000"}) {
+    setenv("TLSHARM_POPULATION", good, 1);
+    EXPECT_EQ(DefaultPopulationSize(6000), std::stoul(good)) << good;
+  }
+  // A refused value exits 2 rather than running another size.
+  for (const char* bad : {"", "99", "300x", " 300", "-300", "3e5",
+                          "99999999999999999999999"}) {
+    setenv("TLSHARM_POPULATION", bad, 1);
+    EXPECT_EXIT(DefaultPopulationSize(), ::testing::ExitedWithCode(2),
+                "TLSHARM_POPULATION=\"[^\"]*\": want")
+        << '"' << bad << '"';
+  }
   unsetenv("TLSHARM_POPULATION");
 }
 
